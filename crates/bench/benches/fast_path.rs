@@ -18,11 +18,6 @@
 //!    `steps / dispatches` is deterministic and asserted `>= 3x`;
 //!    trajectory equality against the per-instruction reference is
 //!    asserted on every run.
-//!    * **Batch step** — the harvesting duty-cycle workload through a
-//!      [`gecko_sim::DeviceBatch`]: a fleet of devices sharing one
-//!      predecoded program, planned and drained lock-step. Bit-exact
-//!      against per-instruction scalar references; the deterministic
-//!      per-device steps-per-dispatch ratio is asserted `>= 5x`.
 //!    * **Fault path** — the EM instruction-fault seam's fault-free cost:
 //!      an armed-but-unreached fault window forces every span plan
 //!      through the fault-edge guard; bit-identical trajectory asserted,
@@ -292,115 +287,7 @@ fn bench_event_horizon(rows: &mut Vec<BenchRow>, quick: bool) {
     println!("ok: event horizon coalesces >= {worst_clean_ratio:.1}x of active instructions");
 }
 
-/// Section 2b: `DeviceBatch` lock-step stepping — a fleet of devices
-/// sharing one predecoded program on the harvesting duty-cycle workload
-/// (active bursts draining the capacitor, recharge hibernation between
-/// them), vs the same fleet stepped per instruction (interpreted,
-/// coalescers off). Correctness is asserted bit-exactly on every run. The
-/// headline floor is *deterministic*, like the other coalescing sections:
-/// per-device steps retired per scalar dispatch — the amortized ns/op
-/// lever — must stay `>= 5x`; wall-clock ns/op is printed for scale but
-/// never asserted (tiny windows make wall ratios pure scheduler noise).
-fn bench_batch_step(rows: &mut Vec<BenchRow>, quick: bool) {
-    use gecko_sim::DeviceBatch;
-
-    let app = gecko_apps::app_by_name("bitcnt").unwrap();
-    let window_s = if quick { 1.0 } else { 3.0 };
-    let iters = if quick { 2 } else { 5 };
-    let devices = 8usize;
-    let mut table = Vec::new();
-    let mut worst_ratio = f64::INFINITY;
-    for scheme in SchemeKind::all() {
-        let compiled = CompiledApp::build(&app, scheme, &CompileOptions::default()).unwrap();
-        let sims = |exact: bool| {
-            (0..devices as u64)
-                .map(|seed| {
-                    let mut cfg = SimConfig::harvesting(scheme);
-                    cfg.seed = seed;
-                    let mut sim = Simulator::from_compiled(&compiled, cfg);
-                    if exact {
-                        sim.set_exec_mode(ExecMode::Interpreted);
-                        sim.set_fast_forward(false);
-                        sim.set_event_horizon(false);
-                    }
-                    sim
-                })
-                .collect::<Vec<_>>()
-        };
-        let run_batch = || {
-            let mut batch = DeviceBatch::new(sims(false));
-            batch.run_for(window_s);
-            batch
-        };
-        let run_exact = || {
-            let mut fleet = sims(true);
-            for sim in &mut fleet {
-                sim.run_for(window_s);
-            }
-            fleet
-        };
-        // Correctness first: every batched device must land bit-exactly on
-        // its per-instruction reference trajectory.
-        let batch = run_batch();
-        let exact = run_exact();
-        for (i, reference) in exact.iter().enumerate() {
-            let dev = batch.device(i);
-            assert_eq!(
-                dev.metrics, reference.metrics,
-                "{scheme}/dev{i}: metrics diverged"
-            );
-            assert_eq!(
-                dev.state_hash(),
-                reference.state_hash(),
-                "{scheme}/dev{i}: state hash diverged"
-            );
-        }
-        let stats = batch.stats();
-        let (steps, dispatches) = batch.devices().iter().fold((0u64, 0u64), |(s, d), sim| {
-            let f = sim.fast_path_stats();
-            (s + f.steps, d + f.dispatches)
-        });
-        // Deterministic: simulated steps per scalar dispatch, i.e. how
-        // many ops each coalesced plan retires for the price of one.
-        let ratio = steps as f64 / dispatches.max(1) as f64;
-        worst_ratio = worst_ratio.min(ratio);
-
-        let batch_wall = time_best_of(iters, run_batch);
-        let ns_per_op = batch_wall.as_nanos() as f64 / steps.max(1) as f64;
-        table.push(vec![
-            scheme.name().to_string(),
-            steps.to_string(),
-            format!("{}", stats.spans),
-            format!("{}\u{2030}", stats.occupancy_permille()),
-            format!("{ratio:.1}x"),
-            format!("{ns_per_op:.1}ns"),
-        ]);
-        rows.push(BenchRow {
-            section: "batch_step".to_string(),
-            scheme: scheme.name().to_string(),
-            app: format!("bitcnt x{devices}"),
-            steps,
-            ff_ticks: stats.spans,
-            eh_insts: stats.coalesced_steps,
-            ratio,
-            wall_ms: batch_wall.as_secs_f64() * 1e3,
-            rate_per_s: steps as f64 / batch_wall.as_secs_f64(),
-        });
-    }
-    print_table(
-        &format!("DeviceBatch lock-step, bitcnt x{devices}, {window_s}s window (best of {iters})"),
-        &["scheme", "steps", "spans", "occupancy", "ratio", "ns/op"],
-        &table,
-    );
-    assert!(
-        worst_ratio >= 5.0,
-        "batched stepping must retire >= 5x steps per scalar dispatch \
-         per device (got {worst_ratio:.1}x)"
-    );
-    println!("ok: DeviceBatch retires >= {worst_ratio:.1}x steps per scalar dispatch");
-}
-
-/// Section 2c: the fault seam's fault-free cost. A schedule whose only
+/// Section 2b: the fault seam's fault-free cost. A schedule whose only
 /// armed window opens far beyond the simulated horizon forces every span
 /// plan through the fault-edge guard (`FaultSchedule::next_edge`) without
 /// a single fault ever firing. The trajectory must be bit-identical to a
@@ -1002,7 +889,6 @@ fn main() {
     let mut rows = Vec::new();
     bench_fast_forward(&mut rows, quick);
     bench_event_horizon(&mut rows, quick);
-    bench_batch_step(&mut rows, quick);
     bench_fault_path(&mut rows, quick);
     bench_dispatch(&mut rows, quick);
     bench_campaign(&mut rows, quick);

@@ -768,7 +768,7 @@ impl CheckCampaign {
     /// [`MemoStore`] as the chunk explores, and a later campaign over the
     /// same spec answers complete chunks from disk, resumes partial ones
     /// mid-chunk, and re-explores only chunks whose blamed compiled
-    /// regions changed (DESIGN.md §18). Results are bit-identical with
+    /// regions changed (DESIGN.md §17). Results are bit-identical with
     /// and without a store, cold or warm.
     pub fn memo(mut self, memo: Arc<MemoStore>) -> CheckCampaign {
         self.memo = Some(memo);
@@ -784,9 +784,9 @@ impl CheckCampaign {
         self
     }
 
-    /// Stops claiming new chunks once `n` have been accounted this
-    /// session (builder style) — the deterministic kill switch the
-    /// resume tests use.
+    /// Claims at most `n` chunks this session, then stops (builder style)
+    /// — the deterministic kill switch the resume tests use. The budget is
+    /// charged at claim time, so `n` chunks run at any worker count.
     pub fn halt_after(mut self, n: u64) -> CheckCampaign {
         self.halt_after = Some(n);
         self
@@ -1273,8 +1273,6 @@ impl CheckCampaign {
             journal_diagnostics,
             memo_windows,
             frontier_steals: frontier.steals(),
-            // Checks always run per item; the batch counters stay zero.
-            ..FleetCounters::default()
         };
         let wall_s = started.elapsed().as_secs_f64();
 

@@ -35,7 +35,7 @@ pub struct ExploreConfig {
     /// against the faulted-continuous reference — a fault alone rewrites
     /// what a correct execution computes, so only divergence *between*
     /// the crashed and uncrashed faulted runs (or a livelock) counts as a
-    /// violation. See DESIGN.md §17.
+    /// violation. See DESIGN.md §16.
     pub fault_windows: bool,
     /// How many qualifying steps past a primary injection nested faults
     /// are attempted at (offsets 1..=horizon).

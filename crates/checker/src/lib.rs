@@ -13,7 +13,7 @@
 //!   offset of the recovery that follows. With
 //!   [`ExploreConfig::fault_windows`] it also injects EM instruction
 //!   faults (skip / corrupt), judged against the faulted-continuous
-//!   reference rather than the golden checksum (DESIGN.md §17).
+//!   reference rather than the golden checksum (DESIGN.md §16).
 //! * **Snapshot-fork exploration** — the golden trace is walked once;
 //!   each window forks via [`gecko_sim::Simulator::snapshot`] /
 //!   `restore` instead of re-executing the prefix from cold, turning the

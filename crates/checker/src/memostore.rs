@@ -14,7 +14,7 @@
 //!   *mid-slab* with exactly the memo table an uninterrupted run would
 //!   have had at that boundary.
 //!
-//! Soundness of reuse is change-driven (DESIGN.md §18): a slab restores
+//! Soundness of reuse is change-driven (DESIGN.md §17): a slab restores
 //! iff the whole-program fingerprint matches, **or** every region its
 //! forks ever blamed fingerprints identically in the current artifact
 //! ([`ProgramFingerprints::region_set_digest`]). Recompiling one region

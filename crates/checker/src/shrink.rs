@@ -16,7 +16,7 @@
 //!
 //! Schedules containing EM instruction faults are judged against the
 //! *faulted-continuous reference*: the replay of the schedule's leading
-//! run of fault injections alone (see DESIGN.md §17). Lowering a fault's
+//! run of fault injections alone (see DESIGN.md §16). Lowering a fault's
 //! offset moves the reference with it, so the reference is recomputed per
 //! candidate; those replays count toward the replay budget.
 

@@ -24,7 +24,7 @@ pub enum InjectionKind {
     /// EM instruction-skip fault: the next retired instruction executes
     /// as a no-op (Moro et al.'s dominant fault). Judged against the
     /// faulted-continuous reference, not the golden checksum — see
-    /// DESIGN.md §17.
+    /// DESIGN.md §16.
     InstructionSkip,
     /// EM instruction-corruption fault: the next retired instruction
     /// decodes as a different operation (written values complemented,

@@ -1,7 +1,7 @@
 //! End-to-end EM instruction-fault checking: with
 //! [`ExploreConfig::fault_windows`] the explorer injects skip/corrupt
 //! faults at every golden window and judges fault-then-crash nestings
-//! against the faulted-continuous reference (DESIGN.md §17).
+//! against the faulted-continuous reference (DESIGN.md §16).
 //!
 //! The headline result this pins: a skipped instruction followed by a
 //! power failure breaks Ratchet's rollback transparency on the WAR

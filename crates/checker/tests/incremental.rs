@@ -1,4 +1,4 @@
-//! Incremental persistent checking (DESIGN.md §18): a campaign with a
+//! Incremental persistent checking (DESIGN.md §17): a campaign with a
 //! [`MemoStore`] attached persists every slab's verdicts and memo table,
 //! and later campaigns answer from disk — bit-identically.
 //!

@@ -6,7 +6,7 @@
 //! clean completion". When the program is recompiled, verdicts blamed on
 //! regions whose code and recovery metadata are unchanged are still
 //! sound; only verdicts touching a changed region need re-exploration
-//! (DESIGN.md §18). This module supplies the identity that decision keys
+//! (DESIGN.md §17). This module supplies the identity that decision keys
 //! on:
 //!
 //! * a **per-region fingerprint** — FNV-1a over the region's id, its

@@ -20,7 +20,7 @@
 //! Which worker claims which index is scheduling-dependent — and
 //! irrelevant: results are content-addressed per item and merged in item
 //! order after the pool drains, so the report digest is invariant across
-//! worker counts and steal schedules (DESIGN.md §18).
+//! worker counts and steal schedules (DESIGN.md §17).
 
 use std::sync::Mutex;
 

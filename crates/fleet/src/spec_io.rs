@@ -963,13 +963,6 @@ fn report_value(report: &CampaignReport, deterministic: bool) -> Json {
                 ("retries".into(), Json::U64(c.retries)),
                 ("resumed".into(), Json::U64(c.resumed)),
                 ("dropped_records".into(), Json::U64(c.dropped_records)),
-                ("batched_runs".into(), Json::U64(c.batched_runs)),
-                ("batch_spans".into(), Json::U64(c.batch_spans)),
-                ("batch_fallbacks".into(), Json::U64(c.batch_fallbacks)),
-                (
-                    "batch_occupancy_permille".into(),
-                    Json::U64(c.batch_occupancy_permille),
-                ),
             ]),
         ));
     }

@@ -30,13 +30,14 @@
 //! reproducible tests rather than luck.
 //!
 //! [`run_supervised`] is the generic worker pool shared by
-//! `gecko_fleet::Campaign` and `gecko-check`'s `CheckCampaign`: an atomic
-//! work cursor, per-item supervision, optional journal-resume skipping and
-//! an optional halt-after-N-runs graceful stop.
+//! `gecko_fleet::Campaign` and `gecko-check`'s `CheckCampaign`: a shared
+//! work cursor (or a work-stealing [`Frontier`](crate::Frontier)),
+//! per-item supervision, optional journal-resume skipping and an optional
+//! halt-after-N-claims graceful stop.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -545,8 +546,10 @@ pub struct PoolConfig<'a> {
     pub sup: &'a SupervisorSpec,
     /// Resolved per-run budget.
     pub budget: RunBudget,
-    /// Stop claiming new items once this many runs have been accounted
-    /// (completed or failed) this session — the graceful-kill hook.
+    /// Claim at most this many items, counting the skipped ones — the
+    /// graceful-kill hook. The budget is charged when an item is claimed,
+    /// not when it finishes, so exactly `halt_after - skipped` items run
+    /// at any worker count.
     pub halt_after: Option<u64>,
     /// Cooperative kill switch: when the flag flips true, workers finish
     /// the run they are on (journaling it as usual) and stop claiming new
@@ -580,8 +583,10 @@ where
 {
     let n = cfg.run_keys.len();
     assert_eq!(cfg.skip.len(), n, "skip mask must cover every item");
-    let cursor = AtomicUsize::new(0);
-    let accounted = AtomicU64::new(cfg.skip.iter().filter(|&&s| s).count() as u64);
+    // (cursor, charged): the claim seam. Claiming an index and charging
+    // the halt budget for it happen under one lock, so the budget admits
+    // exactly `halt_after` items however many workers race for them.
+    let claims = Mutex::new((0usize, cfg.skip.iter().filter(|&&s| s).count() as u64));
     let retries = AtomicU64::new(0);
     let halted = AtomicBool::new(false);
     let mut slots: Vec<Option<ItemOutcome<T>>> = Vec::new();
@@ -592,39 +597,45 @@ where
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let cursor = &cursor;
-            let accounted = &accounted;
+            let claims = &claims;
             let retries = &retries;
             let halted = &halted;
             let attempt = &attempt;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, ItemOutcome<T>)> = Vec::new();
+                // The next pending index, or `None` once the items are
+                // drained or the halt budget refuses one.
+                let claim = || {
+                    let mut claims = lock_unpoisoned(claims);
+                    let (cursor, charged) = &mut *claims;
+                    loop {
+                        let i = match cfg.claim {
+                            Some(frontier) => frontier.claim(w)?,
+                            None if *cursor < n => {
+                                *cursor += 1;
+                                *cursor - 1
+                            }
+                            None => return None,
+                        };
+                        if cfg.skip[i] {
+                            continue;
+                        }
+                        if cfg.halt_after.is_some_and(|h| *charged >= h) {
+                            halted.store(true, Ordering::Relaxed);
+                            return None;
+                        }
+                        *charged += 1;
+                        return Some(i);
+                    }
+                };
                 loop {
-                    if let Some(h) = cfg.halt_after {
-                        if accounted.load(Ordering::Relaxed) >= h {
-                            halted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    if let Some(stop) = cfg.stop {
-                        if stop.load(Ordering::Relaxed) {
-                            halted.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    let i = match cfg.claim {
-                        Some(frontier) => frontier.claim(w).unwrap_or(usize::MAX),
-                        None => cursor.fetch_add(1, Ordering::Relaxed),
-                    };
-                    if i >= n {
+                    if cfg.stop.is_some_and(|stop| stop.load(Ordering::Relaxed)) {
+                        halted.store(true, Ordering::Relaxed);
                         break;
                     }
-                    if cfg.skip[i] {
-                        continue;
-                    }
+                    let Some(i) = claim() else { break };
                     let (outcome, item_retries) = supervise_item(cfg, cfg.run_keys[i], i, attempt);
                     retries.fetch_add(item_retries, Ordering::Relaxed);
-                    accounted.fetch_add(1, Ordering::Relaxed);
                     local.push((i, outcome));
                 }
                 local
@@ -990,6 +1001,45 @@ mod tests {
         assert!(report.halted);
         let done = report.outcomes.iter().flatten().count();
         assert_eq!(done, 10, "exactly halt_after runs were accounted");
+    }
+
+    #[test]
+    fn halt_budget_is_charged_at_claim_time_at_any_worker_count() {
+        // Slow items: every worker claims before the first run finishes,
+        // so a budget charged on completion would let all of them through.
+        let keys: Vec<u64> = (0..24).collect();
+        let mut skip = vec![false; 24];
+        skip[1] = true; // a resumed item counts against the budget, unrun
+        let sup = SupervisorSpec::default();
+        let sink = null_sink();
+        for workers in [1usize, 2, 8] {
+            let frontier = crate::Frontier::new(&[(0, 12), (12, 24)], workers);
+            for claim in [None, Some(&frontier)] {
+                let cfg = PoolConfig {
+                    workers,
+                    run_keys: &keys,
+                    skip: &skip,
+                    sup: &sup,
+                    budget: sup.resolve_budget(1.0),
+                    halt_after: Some(4),
+                    stop: None,
+                    claim,
+                    sink: &sink,
+                };
+                let report = run_supervised(&cfg, |i, _, _, _| {
+                    std::thread::sleep(Duration::from_millis(20));
+                    Ok(i)
+                });
+                let ran: Vec<usize> = (0..24).filter(|&i| report.outcomes[i].is_some()).collect();
+                let label = format!("workers={workers} frontier={}", claim.is_some());
+                assert!(report.halted, "{label}");
+                assert_eq!(ran.len(), 3, "{label}: ran {ran:?}");
+                assert!(!ran.contains(&1), "{label}: skipped items never run");
+                if claim.is_none() {
+                    assert_eq!(ran, [0, 2, 3], "{label}: the cursor runs a prefix");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! job-<id>/
-//!   job.json         submission envelope (kind, workers, halt_after, batch, spec)
+//!   job.json         submission envelope (kind, workers, halt_after, incremental, spec)
 //!   journal/         segmented fleet run journal — the resume checkpoint
 //!     seg-000000.jsonl ...
 //!   telemetry/       segmented event log, append-only across sessions
@@ -370,16 +370,11 @@ pub struct Job {
     pub workers: usize,
     /// Deterministic interruption point, if requested.
     pub halt_after: Option<u64>,
-    /// Lock-step devices per worker claim (1 = per-item execution).
-    /// Sweeps only; checks always run per item. Results and digests are
-    /// batch-size-invariant (DESIGN.md §16), so a resumed job may finish
-    /// at a different batch size than it started with.
-    pub batch: usize,
     /// Grid size: expanded items for sweeps, (app × scheme) pairs for
     /// checks.
     pub grid: u64,
     /// Check jobs: run against the daemon's durable memo store for this
-    /// spec (DESIGN.md §18). Durable — a resumed job keeps its mode.
+    /// spec (DESIGN.md §17). Durable — a resumed job keeps its mode.
     pub incremental: bool,
     /// The telemetry sink (ring + file).
     pub sink: Arc<JobSink>,
@@ -463,7 +458,6 @@ impl Job {
                 "halt_after".into(),
                 self.halt_after.map_or(Json::Null, Json::U64),
             ),
-            ("batch".into(), Json::U64(self.batch as u64)),
             ("incremental".into(), Json::Bool(self.incremental)),
             ("grid".into(), Json::U64(self.grid)),
             ("items_done".into(), Json::U64(done)),
@@ -740,7 +734,6 @@ impl Queue {
             .workers
             .unwrap_or(inner.cfg.job_workers)
             .clamp(1, inner.cfg.max_job_workers);
-        let batch = sub.batch.unwrap_or(1).max(1);
         let id = inner.next_id.fetch_add(1, Ordering::SeqCst);
         let dir = inner.cfg.journal_root.join(format!("job-{id}"));
         std::fs::create_dir_all(&dir)
@@ -753,7 +746,6 @@ impl Queue {
                 "halt_after".into(),
                 sub.halt_after.map_or(Json::Null, Json::U64),
             ),
-            ("batch".into(), Json::U64(batch as u64)),
             ("incremental".into(), Json::Bool(sub.incremental)),
             ("spec".into(), sub.spec.clone()),
         ]);
@@ -768,7 +760,6 @@ impl Queue {
             spec: sub.spec,
             workers,
             halt_after: sub.halt_after,
-            batch,
             grid,
             incremental: sub.incremental,
             stop: Arc::new(AtomicBool::new(false)),
@@ -821,14 +812,20 @@ impl Queue {
     /// been journaled. Queued and interrupted jobs resume on the next
     /// boot.
     pub fn shutdown(&self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
+        // The flag flips under each waiter's lock, so no waiter can check
+        // it, miss the notify, and then sleep out its full wait.
+        {
+            let _gate = lock_unpoisoned(&self.inner.prune_gate);
+            self.inner.shutting_down.store(true, Ordering::SeqCst);
+            self.inner.prune_cond.notify_all();
+        }
         for job in self.jobs() {
             if !job.state().is_stopped() {
                 job.stop.store(true, Ordering::SeqCst);
             }
         }
+        drop(lock_unpoisoned(&self.inner.pending));
         self.inner.pending_cond.notify_all();
-        self.inner.prune_cond.notify_all();
         let mut workers = lock_unpoisoned(&self.workers);
         for handle in workers.drain(..) {
             let _ = handle.join();
@@ -881,14 +878,9 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
     // `halt_after` is a one-shot interruption hook: it already fired in
     // the session that journaled the halt, so a restored job resumes to
     // completion instead of halting again every session. job.json keeps
-    // the submitted value for provenance only. `batch`, by contrast, is a
-    // durable execution knob (and results-invariant), so it survives.
+    // the submitted value for provenance only. A `batch` field written by
+    // older daemons is ignored: every job runs per item.
     let halt_after = None;
-    let batch = envelope
-        .get("batch")
-        .and_then(Json::as_u64)
-        .map_or(1, |n| n as usize)
-        .max(1);
     // Envelopes from pre-incremental daemons default to off.
     let incremental = envelope
         .get("incremental")
@@ -930,7 +922,6 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
         spec,
         workers,
         halt_after,
-        batch,
         grid,
         incremental,
         sink,
@@ -1097,10 +1088,14 @@ fn prune_loop(inner: &Arc<QueueInner>) {
         if let Some(pruner) = lock_unpoisoned(&inner.pruner).as_mut() {
             let _ = pruner.tick();
         }
+        // The flag is re-checked under the gate before sleeping, and
+        // `Queue::shutdown` sets it under the same gate.
         let gate = lock_unpoisoned(&inner.prune_gate);
         let _unused = inner
             .prune_cond
-            .wait_timeout(gate, interval)
+            .wait_timeout_while(gate, interval, |_| {
+                !inner.shutting_down.load(Ordering::SeqCst)
+            })
             .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }
@@ -1173,7 +1168,6 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 let total = spec.expand().len() as u64;
                 let mut campaign = Campaign::new(spec)
                     .workers(job.workers)
-                    .batch_size(job.batch)
                     .sink(sink)
                     .resume(journal)
                     .kill_switch(Arc::clone(&job.stop));
@@ -1317,8 +1311,31 @@ mod tests {
             spec,
             workers: Some(1),
             halt_after,
-            batch: None,
             incremental: false,
+        }
+    }
+
+    #[test]
+    fn shutdown_right_after_boot_does_not_wait_out_the_prune_interval() {
+        for round in 0..5 {
+            let cfg = ServeConfig {
+                prune_interval_secs: 3600,
+                ..test_config(&format!("prune-wake-{round}"))
+            };
+            let root = cfg.journal_root.clone();
+            let queue = Queue::start(cfg).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let t0 = Instant::now();
+            std::thread::spawn(move || {
+                queue.shutdown();
+                let _ = tx.send(());
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_secs(2)).is_ok(),
+                "round {round}: shutdown still blocked after {:?}",
+                t0.elapsed()
+            );
+            let _ = std::fs::remove_dir_all(root);
         }
     }
 
@@ -1357,8 +1374,13 @@ mod tests {
             Err(SubmitError::Limit(m)) => assert!(m.contains("limit"), "{m}"),
             other => panic!("expected Limit, got {other:?}"),
         }
-        // No job directories were created for rejected submissions.
-        let dirs = std::fs::read_dir(&root).unwrap().count();
+        // No job directories were created for rejected submissions (the
+        // boot-time pruner tick may write prune.json alongside).
+        let dirs = std::fs::read_dir(&root)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("job-"))
+            .count();
         assert_eq!(dirs, 0);
         queue.shutdown();
         let _ = std::fs::remove_dir_all(&root);
@@ -1530,7 +1552,6 @@ mod tests {
             spec,
             workers: Some(1),
             halt_after: None,
-            batch: None,
             incremental: true,
         };
         let cold = queue.submit(JobKind::Check, sub(spec.clone())).unwrap();

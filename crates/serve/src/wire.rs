@@ -374,13 +374,6 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
                 ),
                 ("memo_windows".into(), Json::U64(c.memo_windows)),
                 ("frontier_steals".into(), Json::U64(c.frontier_steals)),
-                ("batched_runs".into(), Json::U64(c.batched_runs)),
-                ("batch_spans".into(), Json::U64(c.batch_spans)),
-                ("batch_fallbacks".into(), Json::U64(c.batch_fallbacks)),
-                (
-                    "batch_occupancy_permille".into(),
-                    Json::U64(c.batch_occupancy_permille),
-                ),
             ]),
         ));
     }
@@ -448,22 +441,21 @@ pub struct Submission {
     /// Stop the pool after journaling this many runs — the deterministic
     /// interruption hook the kill/restart/resume tests drive over HTTP.
     pub halt_after: Option<u64>,
-    /// Lock-step devices per worker claim (`None` = per-item execution).
-    /// Purely a throughput knob: results and digests are
-    /// batch-size-invariant (DESIGN.md §16).
-    pub batch: Option<usize>,
     /// Check jobs only: attach the daemon's durable memo store for this
     /// spec, so a re-submission answers already-explored windows from
-    /// disk (DESIGN.md §18). Results and digests are identical either
+    /// disk (DESIGN.md §17). Results and digests are identical either
     /// way; this is purely a wall-clock knob.
     pub incremental: bool,
 }
 
 /// Parses a submission body. Two shapes are accepted:
 ///
-/// * an envelope `{"spec": {...}, "workers": N, "halt_after": N, "batch": N,
+/// * an envelope `{"spec": {...}, "workers": N, "halt_after": N,
 ///   "incremental": B}`, or
 /// * a bare spec document (everything else) — the common curl case.
+///
+/// Envelopes from older clients may carry `"batch": N`. It is still
+/// validated (a positive integer) but ignored: every job runs per item.
 pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
     let doc = Json::parse(text)?;
     if opt(&doc, "spec").is_none() {
@@ -471,7 +463,6 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
             spec: doc,
             workers: None,
             halt_after: None,
-            batch: None,
             incremental: false,
         });
     }
@@ -490,11 +481,10 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
     let halt_after = opt(&doc, "halt_after")
         .map(|h| as_u64(h, "halt_after"))
         .transpose()?;
-    let batch = opt(&doc, "batch")
-        .map(|b| as_u64(b, "batch").map(|n| n as usize))
-        .transpose()?;
-    if batch == Some(0) {
-        return Err(err("batch", "must be at least 1").into());
+    if let Some(b) = opt(&doc, "batch") {
+        if as_u64(b, "batch")? == 0 {
+            return Err(err("batch", "must be at least 1").into());
+        }
     }
     let incremental = opt(&doc, "incremental")
         .map(|b| as_bool(b, "incremental"))
@@ -504,7 +494,6 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
         spec,
         workers,
         halt_after,
-        batch,
         incremental,
     })
 }
@@ -604,8 +593,6 @@ mod tests {
         assert_eq!(bare.spec.get("name").and_then(Json::as_str), Some("sweep"));
         assert_eq!(bare.workers, None);
         assert_eq!(bare.halt_after, None);
-        assert_eq!(bare.batch, None);
-
         assert!(!bare.incremental);
 
         let env = parse_submission(
@@ -615,7 +602,6 @@ mod tests {
         assert_eq!(env.spec.get("name").and_then(Json::as_str), Some("sweep"));
         assert_eq!(env.workers, Some(4));
         assert_eq!(env.halt_after, Some(2));
-        assert_eq!(env.batch, Some(64));
         assert!(env.incremental);
 
         let e = parse_submission(r#"{"spec":{"name":"s"},"wrokers":4}"#).unwrap_err();
@@ -624,6 +610,8 @@ mod tests {
         assert!(e.to_string().contains("at least 1"), "{e}");
         let e = parse_submission(r#"{"spec":{"name":"s"},"batch":0}"#).unwrap_err();
         assert!(e.to_string().contains("at least 1"), "{e}");
+        let e = parse_submission(r#"{"spec":{"name":"s"},"batch":"64"}"#).unwrap_err();
+        assert!(e.to_string().contains("batch"), "{e}");
     }
 
     #[test]

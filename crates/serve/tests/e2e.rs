@@ -250,6 +250,59 @@ fn kill_mid_campaign_then_restart_resumes_bit_exactly() {
 }
 
 #[test]
+fn job_journaled_with_a_batch_knob_resumes_per_item_bit_exactly() {
+    // Daemons before batching was removed accepted `"batch": N` and stored
+    // it in job.json. Such a job, killed mid-campaign, must come back on a
+    // current daemon, run per item, and merge to the uninterrupted digest.
+    let spec = tiny_fig4_spec();
+    let reference = Campaign::new(spec.clone()).run().unwrap();
+    let root = fresh_root("legacy-batch");
+    let (server, addr) = start_server(&root);
+    let envelope = format!(
+        r#"{{"spec":{},"workers":2,"halt_after":3,"batch":64}}"#,
+        spec_to_json(&spec)
+    );
+    let id = job_id(&submit(&addr, "/v1/campaigns", &envelope));
+    let interrupted = poll_until(&addr, id, "interrupted", Duration::from_secs(180));
+    assert_eq!(
+        interrupted.get("batch"),
+        None,
+        "status no longer reports batch"
+    );
+    server.shutdown();
+
+    // Rewrite job.json the way the older daemon stored it.
+    let job_json = root.join(format!("job-{id}")).join("job.json");
+    let Json::Obj(mut fields) = Json::parse(&std::fs::read_to_string(&job_json).unwrap()).unwrap()
+    else {
+        panic!("job.json is an object");
+    };
+    fields.retain(|(k, _)| k != "batch");
+    fields.push(("batch".into(), Json::U64(64)));
+    std::fs::write(&job_json, Json::Obj(fields).encode()).unwrap();
+
+    let (server, addr) = start_server(&root);
+    let done = poll_until(&addr, id, "done", Duration::from_secs(180));
+    assert_eq!(done.get("batch"), None);
+    assert_eq!(done.get("items_resumed").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        done.get("digest").and_then(Json::as_u64),
+        Some(reference.deterministic_digest())
+    );
+    let resp = http_call(
+        &addr,
+        "GET",
+        &format!("/v1/jobs/{id}/result?view=deterministic"),
+        "",
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, report_deterministic_json(&reference));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn served_check_matches_in_process_and_streams_verdicts() {
     use gecko_check::{CheckCampaign, CheckSpec, ExploreConfig};
     use gecko_serve::wire::{check_report_deterministic_json, check_spec_to_json};

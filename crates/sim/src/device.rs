@@ -84,11 +84,8 @@ pub const NVM_WORDS: u32 = 1 << 16;
 const RUNTIME_AREA_FENCE: u32 = NVM_WORDS - 256;
 
 /// Smallest closed-form active horizon (in instructions) worth entering a
-/// batched span for; below this the exact per-step path runs. Shared by
-/// the in-device coalescer ([`Simulator::advance_to_horizon`]) and the
-/// multi-device planner ([`crate::batch::DeviceBatch`]), which must agree
-/// on the threshold for their trajectories to stay bit-identical.
-pub const MIN_ACTIVE_SPAN: u64 = 8;
+/// batched span for; below this the exact per-step path runs.
+const MIN_ACTIVE_SPAN: u64 = 8;
 
 /// Everything needed to instantiate a simulated device.
 #[derive(Debug)]
@@ -247,44 +244,6 @@ pub struct FastPathStats {
     pub eh_insts: u64,
     /// Event-horizon spans (maximal runs of batched instructions).
     pub eh_spans: u64,
-}
-
-/// The per-device inputs of the event-horizon span solver, sampled at the
-/// device's *current* state: how much energy the capacitor holds, the
-/// energy floor the span must provably stay above, and the worst-case
-/// per-instruction loss. Feeding these three numbers to
-/// [`segment::safe_steps`] reproduces exactly the horizon
-/// [`Simulator::advance_to_horizon`] would compute internally — which is
-/// what lets [`crate::batch::DeviceBatch`] size every device's span in one
-/// structure-of-arrays pass without perturbing any trajectory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpanProfile {
-    /// Energy stored in the capacitor right now (J).
-    pub energy_j: f64,
-    /// The guard floor (J): the worst-case-per-step energy the span must
-    /// never dip below — `V_backup + margin` while the monitor polls,
-    /// `V_off + margin` otherwise.
-    pub e_guard_j: f64,
-    /// Worst-case energy one instruction can cost (J): the program's
-    /// costliest entry plus a full worst-case step of rail-voltage
-    /// leakage, with harvest floored at zero.
-    pub worst_loss_j: f64,
-}
-
-/// The full guard set `try_advance_active` derives before entering a span.
-/// Private: the public planning subset is [`SpanProfile`].
-struct ActiveGuards {
-    /// Whether an armed unfiltered ADC must be replayed per instruction.
-    adc_polls: bool,
-    /// The pinned harvester power for the span (W).
-    power: f64,
-    /// Simulated time the span must end strictly before (attack-quiet and
-    /// constant-power horizons, minus slack).
-    t_guard: f64,
-    /// See [`SpanProfile::e_guard_j`].
-    e_guard_j: f64,
-    /// See [`SpanProfile::worst_loss_j`].
-    worst_loss_j: f64,
 }
 
 /// A full capture of a [`Simulator`]'s mutable state: volatile machine
@@ -1320,120 +1279,6 @@ impl Simulator {
         done
     }
 
-    /// Derives the guard set an event-horizon span would run under right
-    /// now, or `None` when any bail condition of the exact path holds:
-    /// coalescing disabled or interpreted mode, hibernating or halted, a
-    /// filtered ADC, a held reading already below `V_backup`, a latched
-    /// comparator, a non-constant harvester, or an attack window active at
-    /// this instant. This *is* `try_advance_active`'s prologue — factored
-    /// out so the batch planner and the in-device coalescer cannot drift.
-    fn active_span_guards(&self) -> Option<ActiveGuards> {
-        if !self.event_horizon
-            || self.exec_mode != ExecMode::Predecoded
-            || self.state != PowerState::On
-            || self.machine.is_halted()
-        {
-            return None;
-        }
-        // Inside an armed fault window (or with a one-shot fault pending)
-        // every retired instruction mutates differently than the batched
-        // replay assumes: only the exact path injects.
-        if self.pending_fault.is_some() || self.fault.active_at(self.t_s).is_some() {
-            return None;
-        }
-        let polls = self.jit_protocol_active() || self.probe == Some(false);
-        let adc_polls = if polls {
-            match self.monitor_kind {
-                MonitorKind::Adc => {
-                    if self.adc_filter.is_some() {
-                        return None;
-                    }
-                    // A reading held from before the span can already sit
-                    // below V_backup; the next poll would assert the
-                    // checkpoint signal, which only the exact path handles.
-                    if self
-                        .adc
-                        .held_at(self.t_s)
-                        .is_some_and(|r| r < self.thresholds.v_backup)
-                    {
-                        return None;
-                    }
-                    true
-                }
-                MonitorKind::Comparator => {
-                    if self.comp_backup.is_latched_below() {
-                        return None;
-                    }
-                    false
-                }
-            }
-        } else {
-            false
-        };
-        let (power, power_until) = self.harvester.constant_until(self.t_s)?;
-        let quiet_until = if polls {
-            if self.attack.active_at(self.t_s).is_some() {
-                return None;
-            }
-            self.attack.next_edge(self.t_s)
-        } else {
-            f64::INFINITY
-        };
-
-        // Worst-case per-instruction loss: the program's costliest entry
-        // plus a full worst-case step of leakage at the highest voltage
-        // the span can see (harvest is floored at zero — charging only
-        // helps).
-        let (worst_cycles, worst_energy_nj) = self.pre.worst_step();
-        let max_dt = self.cost.cycles_to_seconds(worst_cycles);
-        let v_rail = self.cap.voltage_v().max(self.thresholds.v_max);
-        let leak_j = self.cap.leak_siemens() * v_rail * v_rail * max_dt;
-        let worst_loss_j = worst_energy_nj * 1e-9 + leak_j;
-
-        let margin_v = self.adc.lsb_v() + 1e-9;
-        let v_guard = if polls {
-            self.thresholds.v_backup + margin_v
-        } else {
-            self.thresholds.v_off + margin_v
-        };
-        let e_guard_j = 0.5 * self.cap.capacitance_f() * v_guard * v_guard;
-        let slack = 2.0 * max_dt;
-        // A span must end before the next armed fault-window edge: faults
-        // strike executing instructions regardless of whether the monitor
-        // polls, so this horizon applies even when `quiet_until` does not.
-        let fault_until = self.fault.next_edge(self.t_s);
-        let t_guard = (power_until - slack)
-            .min(quiet_until - slack)
-            .min(fault_until - slack);
-        Some(ActiveGuards {
-            adc_polls,
-            power,
-            t_guard,
-            e_guard_j,
-            worst_loss_j,
-        })
-    }
-
-    /// The event-horizon planner's view of this device right now: `None`
-    /// when the next [`Simulator::advance_to_horizon`] call would take the
-    /// exact scalar path (sleeping devices, bail conditions), otherwise
-    /// the exact `(energy, floor, worst-loss)` triple whose
-    /// [`segment::safe_steps`] solution equals the span the device would
-    /// size for itself. [`crate::batch::DeviceBatch`] gathers one profile
-    /// per device into contiguous arrays and solves them in a single pass.
-    pub fn span_profile(&self) -> Option<SpanProfile> {
-        self.active_span_guards().map(|g| SpanProfile {
-            energy_j: self.cap.energy_j(),
-            e_guard_j: g.e_guard_j,
-            worst_loss_j: g.worst_loss_j,
-        })
-    }
-
-    /// Energy stored in the capacitor right now (J).
-    pub fn energy_j(&self) -> f64 {
-        self.cap.energy_j()
-    }
-
     /// Coalesces up to `max_steps` ON-state instructions into one batched
     /// span ending strictly before `t_end`, and returns how many it
     /// committed (0 when the fast path cannot prove equivalence right
@@ -1486,21 +1331,90 @@ impl Simulator {
     /// is bit-identical to per-step execution — there is no "closed-form
     /// energy jump" to reconcile.
     fn try_advance_active(&mut self, max_steps: u64, t_end: f64) -> u64 {
-        let guards = match self.active_span_guards() {
-            Some(g) => g,
+        if !self.event_horizon
+            || self.exec_mode != ExecMode::Predecoded
+            || self.state != PowerState::On
+            || self.machine.is_halted()
+        {
+            return 0;
+        }
+        // Inside an armed fault window (or with a one-shot fault pending)
+        // every retired instruction mutates differently than the batched
+        // replay assumes: only the exact path injects.
+        if self.pending_fault.is_some() || self.fault.active_at(self.t_s).is_some() {
+            return 0;
+        }
+        let polls = self.jit_protocol_active() || self.probe == Some(false);
+        let adc_polls = if polls {
+            match self.monitor_kind {
+                MonitorKind::Adc => {
+                    if self.adc_filter.is_some() {
+                        return 0;
+                    }
+                    // A reading held from before the span can already sit
+                    // below V_backup; the next poll would assert the
+                    // checkpoint signal, which only the exact path handles.
+                    if self
+                        .adc
+                        .held_at(self.t_s)
+                        .is_some_and(|r| r < self.thresholds.v_backup)
+                    {
+                        return 0;
+                    }
+                    true
+                }
+                MonitorKind::Comparator => {
+                    if self.comp_backup.is_latched_below() {
+                        return 0;
+                    }
+                    false
+                }
+            }
+        } else {
+            false
+        };
+        let (power, power_until) = match self.harvester.constant_until(self.t_s) {
+            Some(x) => x,
             None => return 0,
         };
-        let ActiveGuards {
-            adc_polls,
-            power,
-            t_guard,
-            e_guard_j: e_guard,
-            worst_loss_j,
-        } = guards;
+        let quiet_until = if polls {
+            if self.attack.active_at(self.t_s).is_some() {
+                return 0;
+            }
+            self.attack.next_edge(self.t_s)
+        } else {
+            f64::INFINITY
+        };
+
+        // Worst-case per-instruction loss: the program's costliest entry
+        // plus a full worst-case step of leakage at the highest voltage
+        // the span can see (harvest is floored at zero — charging only
+        // helps).
+        let (worst_cycles, worst_energy_nj) = self.pre.worst_step();
+        let max_dt = self.cost.cycles_to_seconds(worst_cycles);
+        let v_rail = self.cap.voltage_v().max(self.thresholds.v_max);
+        let leak_j = self.cap.leak_siemens() * v_rail * v_rail * max_dt;
+        let worst_loss_j = worst_energy_nj * 1e-9 + leak_j;
+
+        let margin_v = self.adc.lsb_v() + 1e-9;
+        let v_guard = if polls {
+            self.thresholds.v_backup + margin_v
+        } else {
+            self.thresholds.v_off + margin_v
+        };
+        let e_guard = 0.5 * self.cap.capacitance_f() * v_guard * v_guard;
         let horizon = segment::safe_steps(self.cap.energy_j(), e_guard, worst_loss_j);
         if horizon < MIN_ACTIVE_SPAN {
             return 0;
         }
+        let slack = 2.0 * max_dt;
+        // A span must end before the next armed fault-window edge: faults
+        // strike executing instructions regardless of whether the monitor
+        // polls, so this horizon applies even when `quiet_until` does not.
+        let fault_until = self.fault.next_edge(self.t_s);
+        let t_guard = (power_until - slack)
+            .min(quiet_until - slack)
+            .min(fault_until - slack);
         if !(self.t_s < t_end && self.t_s < t_guard) {
             return 0;
         }

@@ -34,7 +34,6 @@
 #![deny(missing_docs)]
 
 pub mod areas;
-pub mod batch;
 pub mod device;
 pub mod experiments;
 pub mod metrics;
@@ -42,10 +41,7 @@ pub mod report;
 pub mod scheme;
 pub mod trace;
 
-pub use batch::{BatchStats, DeviceBatch};
-pub use device::{
-    CompiledApp, ExecMode, FastPathStats, SimConfig, SimSnapshot, Simulator, SpanProfile,
-};
+pub use device::{CompiledApp, ExecMode, FastPathStats, SimConfig, SimSnapshot, Simulator};
 pub use metrics::Metrics;
 pub use report::{Record, Value};
 pub use scheme::SchemeKind;

@@ -220,74 +220,6 @@ fn snapshot_fork_inside_active_span_resumes_identically() {
 }
 
 #[test]
-fn snapshot_mid_batch_span_matches_scalar_mid_span_fork() {
-    // The DeviceBatch analog of the fork-inside-span test above: drive a
-    // batch with awkward drain caps so a member lands strictly inside a
-    // planned span, snapshot it there, and prove the snapshot — and the
-    // trajectory resumed from it — is bit-identical to a scalar mid-span
-    // fork at the same step count.
-    use gecko_sim::DeviceBatch;
-
-    let app = gecko_apps::app_by_name("bitcnt").unwrap();
-    let build = |seed: u64| {
-        let mut cfg = fig4_config(SchemeKind::Gecko, AttackSchedule::none());
-        cfg.seed = seed;
-        cfg
-    };
-
-    let mut batch = DeviceBatch::new(
-        (0..3)
-            .map(|seed| Simulator::new(&app, build(seed)).unwrap())
-            .collect(),
-    );
-    batch.begin_run_for(1.0);
-    let mut cap = 977u64; // smaller than bench-supply spans: lands mid-span
-    for _ in 0..40 {
-        batch.drain(cap);
-        cap = (cap * 7 + 3) % 997 + 1;
-    }
-    let dev = batch.device(0);
-    assert!(dev.is_on(), "the probe device must stop mid-execution");
-    assert!(
-        dev.fast_path_stats().eh_spans > 0,
-        "the walk must have been batching spans: {:?}",
-        dev.fast_path_stats()
-    );
-    let steps = dev.fast_path_stats().steps;
-    let from_batch = dev.snapshot();
-
-    // The scalar mid-span fork at the same step count.
-    let mut scalar = Simulator::new(&app, build(0)).unwrap();
-    scalar.run_steps(steps);
-    assert_eq!(batch.device(0).metrics, scalar.metrics, "mid-span metrics");
-    assert_eq!(batch.device(0).state_hash(), scalar.state_hash());
-    assert_eq!(
-        batch.device(0).time_s().to_bits(),
-        scalar.time_s().to_bits()
-    );
-    let from_scalar = scalar.snapshot();
-
-    // Both forks, resumed on fresh devices, must converge on the straight
-    // per-step reference.
-    let goal = steps + 40_000;
-    let mut a = Simulator::new(&app, build(0)).unwrap();
-    a.restore(&from_batch);
-    a.run_steps(goal - steps);
-    let mut b = Simulator::new(&app, build(0)).unwrap();
-    b.restore(&from_scalar);
-    b.run_steps(goal - steps);
-    assert_eq!(a.metrics, b.metrics, "fork-resume metrics");
-    assert_eq!(a.state_hash(), b.state_hash());
-    assert_eq!(a.time_s().to_bits(), b.time_s().to_bits());
-
-    let mut exact = Simulator::new(&app, build(0)).unwrap();
-    make_exact(&mut exact);
-    exact.run_steps(goal);
-    assert_eq!(a.metrics, exact.metrics, "vs per-step reference");
-    assert_eq!(a.state_hash(), exact.state_hash());
-}
-
-#[test]
 fn spoofed_pulse_strictly_inside_coalesced_segment_matches_reference() {
     // Regression for the EMI interaction: a short spoofing pulse whose
     // window falls strictly inside what would otherwise be one coalesced

@@ -106,7 +106,7 @@ fn main() {
     // ----- part 2: fault + crash vs the recovery protocols -----------
     // Depth-2 exploration: inject a skip fault at a golden window, then a
     // power failure, and judge recovery against the faulted-continuous
-    // reference (DESIGN.md §17).
+    // reference (DESIGN.md §16).
     let cfg = ExploreConfig {
         depth: 2,
         refail_horizon: 10,

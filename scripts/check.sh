@@ -33,12 +33,7 @@ GECKO_QUICK=1 cargo run --offline --release --example check
 echo "==> chaos smoke (supervised campaign: quarantine, retry, kill + resume)"
 cargo test --offline --release -q -p gecko-fleet --test supervision
 cargo test --offline --release -q -p gecko-check --test supervision
-cargo run --offline --release --example campaign -- --chaos --resume --drain --prune --batch
-
-echo "==> batch smoke (lock-step grids at batch 1/7/64/1024 x 1/2/8 workers,"
-echo "    incl. kill + resume across batch sizes, must merge digest-identically)"
-GECKO_QUICK=1 cargo test --offline --release -q -p gecko-sim --test batch
-GECKO_QUICK=1 cargo test --offline --release -q -p gecko-fleet --test batch
+cargo run --offline --release --example campaign -- --chaos --resume --drain --prune
 
 echo "==> store smoke (segmented store: kill-mid-prune resume digests, retention caps)"
 cargo test --offline --release -q -p gecko-store
@@ -60,7 +55,7 @@ echo "==> incremental smoke (persistent memo store: warm re-checks byte-identica
 echo "    worker/steal/kill-resume digest-invariant, change-driven invalidation)"
 GECKO_QUICK=1 cargo test --offline --release -q -p gecko-check --test incremental
 
-echo "==> bench smoke (fast-path + event-horizon + batch_step coalescing floors, BENCH_sim.json)"
+echo "==> bench smoke (fast-path + event-horizon coalescing floors, BENCH_sim.json)"
 GECKO_QUICK=1 cargo bench --offline -p gecko-bench --bench fast_path
 
 echo "==> OK"
