@@ -21,6 +21,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gecko_sim::experiments::Fidelity;
+use gecko_sim::report::{write_json_string, Value};
 use gecko_sim::Record;
 
 /// The fidelity selected by the environment (`GECKO_QUICK=1` → `Quick`).
@@ -97,43 +98,21 @@ pub fn git_commit_short() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Writes `target/gecko-results/<name>.json`: one JSON object holding the
 /// current commit hash and an array of [`SummaryRow`]s. Hand-rolled — the
 /// workspace is serde-free by design.
 pub fn save_json_summary(name: &str, rows: &[SummaryRow]) {
-    let mut body = String::new();
-    body.push_str("{\n  \"commit\": \"");
-    body.push_str(&json_escape(&git_commit_short()));
-    body.push_str("\",\n  \"rows\": [\n");
+    let mut body = String::from("{\n  \"commit\": ");
+    write_json_string(&git_commit_short(), &mut body);
+    body.push_str(",\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ns_per_op\": {}, \"ratio\": {}}}{}\n",
-            json_escape(&row.name),
-            json_num(row.ns_per_op),
-            json_num(row.ratio),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+        body.push_str("    {\"name\": ");
+        write_json_string(&row.name, &mut body);
+        body.push_str(", \"ns_per_op\": ");
+        Value::F64(row.ns_per_op).write_json(&mut body);
+        body.push_str(", \"ratio\": ");
+        Value::F64(row.ratio).write_json(&mut body);
+        body.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
     }
     body.push_str("  ]\n}\n");
     let path = results_dir().join(format!("{name}.json"));
@@ -240,23 +219,36 @@ mod tests {
 
     #[test]
     fn json_summary_is_well_formed() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-        assert_eq!(json_num(1.5), "1.5");
-        assert_eq!(json_num(f64::NAN), "null");
         assert!(!git_commit_short().is_empty());
         save_json_summary(
             "BENCH_selftest",
-            &[SummaryRow {
-                name: "section/scheme".to_string(),
-                ns_per_op: 12.5,
-                ratio: 3.0,
-            }],
+            &[
+                SummaryRow {
+                    name: "section/scheme".to_string(),
+                    ns_per_op: 12.5,
+                    ratio: 3.0,
+                },
+                SummaryRow {
+                    name: "a\"b\\c\n".to_string(),
+                    ns_per_op: f64::NAN,
+                    ratio: 1.5,
+                },
+            ],
         );
         let text = fs::read_to_string(results_dir().join("BENCH_selftest.json")).unwrap();
         assert!(text.contains("\"commit\": \""), "{text}");
         assert!(
-            text.contains("{\"name\": \"section/scheme\", \"ns_per_op\": 12.5, \"ratio\": 3}"),
+            text.contains("{\"name\": \"section/scheme\", \"ns_per_op\": 12.5, \"ratio\": 3.0},\n"),
             "{text}"
+        );
+        assert!(
+            text.contains(r#"{"name": "a\"b\\c\n", "ns_per_op": null, "ratio": 1.5}"#),
+            "{text}"
+        );
+        let doc = gecko_fleet::Json::parse(&text).unwrap();
+        assert_eq!(
+            doc.get("rows").and_then(|r| r.as_arr()).map(<[_]>::len),
+            Some(2)
         );
     }
 

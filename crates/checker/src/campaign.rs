@@ -29,13 +29,14 @@ use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::{decode_header, encode_header, field, parse_flat_json, JsonScalar};
-use gecko_fleet::telemetry::json_kv;
+use gecko_fleet::journal::{decode_header, encode_header};
+use gecko_fleet::Json;
 use gecko_fleet::{
     quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, Event, FleetCounters, Frontier,
     Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
 };
 use gecko_sim::device::CompiledApp;
+use gecko_sim::report::json_kv;
 use gecko_sim::{SchemeKind, Simulator, Value};
 use gecko_store::Verdict;
 
@@ -485,21 +486,65 @@ pub(crate) fn decode_outcome(text: &str, path: &str) -> Result<Outcome, ChunkLin
     }
 }
 
+/// Encodes violations as `window|schedule|outcome` joined by `;` — the
+/// `viols` field shared by `chunk_done` journal lines and `memo_slab`
+/// records.
+pub(crate) fn encode_viols<'a>(
+    violations: impl IntoIterator<Item = (u64, &'a [PlannedInjection], Outcome)>,
+) -> String {
+    let parts: Vec<String> = violations
+        .into_iter()
+        .map(|(window, schedule, outcome)| {
+            format!(
+                "{window}|{}|{}",
+                encode_schedule(schedule),
+                encode_outcome(outcome)
+            )
+        })
+        .collect();
+    parts.join(";")
+}
+
+/// Inverse of [`encode_viols`]; errors carry `viols[i].column` paths.
+pub(crate) fn decode_viols(text: &str) -> Result<Vec<JournaledViolation>, ChunkLineError> {
+    let mut out = Vec::new();
+    if text.is_empty() {
+        return Ok(out);
+    }
+    for (vi, part) in text.split(';').enumerate() {
+        let mut cols = part.splitn(3, '|');
+        let mut col = |name: &str| {
+            cols.next()
+                .map(str::to_string)
+                .ok_or_else(|| ChunkLineError::Malformed {
+                    path: format!("viols[{vi}].{name}"),
+                })
+        };
+        let window: u64 = col("window")?
+            .parse()
+            .map_err(|_| ChunkLineError::Malformed {
+                path: format!("viols[{vi}].window"),
+            })?;
+        let schedule = decode_schedule(&col("schedule")?, &format!("viols[{vi}].schedule"))?;
+        let outcome = decode_outcome(&col("outcome")?, &format!("viols[{vi}].outcome"))?;
+        out.push(JournaledViolation {
+            window,
+            schedule,
+            outcome,
+        });
+    }
+    Ok(out)
+}
+
 /// One completed chunk as a single journal line (single-line records are
 /// torn-write safe by construction: a half-written line fails to parse
 /// and the chunk is simply re-run).
 fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Violation]) -> String {
-    let viols: Vec<String> = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{}|{}|{}",
-                v.window,
-                encode_schedule(&v.schedule),
-                encode_outcome(v.outcome)
-            )
-        })
-        .collect();
+    let viols = encode_viols(
+        violations
+            .iter()
+            .map(|v| (v.window, &v.schedule[..], v.outcome)),
+    );
     json_kv(&[
         ("kind", Value::Str(CHUNK_DONE.to_string())),
         ("run_key", Value::U64(run_key)),
@@ -510,34 +555,42 @@ fn encode_chunk(run_key: u64, item: usize, stats: &CheckStats, violations: &[Vio
         ("memo_hits", Value::U64(stats.memo_hits)),
         ("steps", Value::U64(stats.steps)),
         ("violations", Value::U64(stats.violations)),
-        ("viols", Value::Str(viols.join(";"))),
+        ("viols", Value::Str(viols)),
     ])
 }
 
-/// Decodes one `chunk_done` line's parsed fields. `None` means the line
-/// is not a chunk record at all (foreign vocabulary); `Some(Err(_))` is a
-/// chunk record this binary cannot use, with a path-carrying reason.
-/// Shared between journal replay and the prune classifier so both agree
-/// on what "decodable" means.
-fn decode_chunk_line(
-    fields: &[(String, JsonScalar)],
-) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
-    if field(fields, "kind")?.as_str()? != CHUNK_DONE {
+/// Decodes one parsed `chunk_done` record. `None` means the line is not
+/// a chunk record at all (foreign vocabulary); `Some(Err(_))` is a chunk
+/// record this binary cannot use, with a path-carrying reason. Shared
+/// between journal replay and the prune classifier so both agree on what
+/// "decodable" means.
+fn decode_chunk_line(rec: &Json) -> Option<Result<(u64, JournaledChunk), ChunkLineError>> {
+    if rec.get("kind")?.as_str()? != CHUNK_DONE {
         return None;
     }
-    Some(decode_chunk_fields(fields))
+    Some(decode_chunk_fields(rec))
 }
 
-fn decode_chunk_fields(
-    fields: &[(String, JsonScalar)],
-) -> Result<(u64, JournaledChunk), ChunkLineError> {
-    let u = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_u64)
-            .ok_or_else(|| ChunkLineError::Malformed {
-                path: name.to_string(),
-            })
-    };
+/// The non-negative integer field `name` of a parsed record.
+pub(crate) fn u64_field(rec: &Json, name: &str) -> Result<u64, ChunkLineError> {
+    rec.get(name)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| ChunkLineError::Malformed {
+            path: name.to_string(),
+        })
+}
+
+/// The string field `name` of a parsed record.
+pub(crate) fn str_field<'a>(rec: &'a Json, name: &str) -> Result<&'a str, ChunkLineError> {
+    rec.get(name)
+        .and_then(Json::as_str)
+        .ok_or_else(|| ChunkLineError::Malformed {
+            path: name.to_string(),
+        })
+}
+
+fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineError> {
+    let u = |name: &str| u64_field(rec, name);
     let run_key = u("run_key")?;
     let stats = CheckStats {
         windows: u("windows")?,
@@ -547,41 +600,7 @@ fn decode_chunk_fields(
         steps: u("steps")?,
         violations: u("violations")?,
     };
-    let viols_text = field(fields, "viols")
-        .and_then(JsonScalar::as_str)
-        .ok_or_else(|| ChunkLineError::Malformed {
-            path: "viols".to_string(),
-        })?;
-    let mut violations = Vec::new();
-    if !viols_text.is_empty() {
-        for (vi, part) in viols_text.split(';').enumerate() {
-            let mut cols = part.splitn(3, '|');
-            let col = |cols: &mut std::str::SplitN<'_, char>, name: &str| {
-                cols.next()
-                    .map(str::to_string)
-                    .ok_or_else(|| ChunkLineError::Malformed {
-                        path: format!("viols[{vi}].{name}"),
-                    })
-            };
-            let window: u64 =
-                col(&mut cols, "window")?
-                    .parse()
-                    .map_err(|_| ChunkLineError::Malformed {
-                        path: format!("viols[{vi}].window"),
-                    })?;
-            let schedule = decode_schedule(
-                &col(&mut cols, "schedule")?,
-                &format!("viols[{vi}].schedule"),
-            )?;
-            let outcome =
-                decode_outcome(&col(&mut cols, "outcome")?, &format!("viols[{vi}].outcome"))?;
-            violations.push(JournaledViolation {
-                window,
-                schedule,
-                outcome,
-            });
-        }
-    }
+    let violations = decode_viols(str_field(rec, "viols")?)?;
     Ok((
         run_key,
         JournaledChunk {
@@ -612,10 +631,10 @@ fn decode_chunks(lines: &[String]) -> DecodedJournal {
             header.get_or_insert(h);
             continue;
         }
-        let Some(fields) = parse_flat_json(line) else {
+        let Some(rec) = Json::parse_record(line) else {
             continue;
         };
-        match decode_chunk_line(&fields) {
+        match decode_chunk_line(&rec) {
             Some(Ok((run_key, chunk))) => {
                 chunks.insert(run_key, chunk);
             }
@@ -657,11 +676,11 @@ pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
             saw_header = true;
             continue;
         }
-        let Some(fields) = parse_flat_json(line) else {
+        let Some(rec) = Json::parse_record(line) else {
             verdicts[i] = Verdict::Delete; // garbage: decoder skips it
             continue;
         };
-        match decode_chunk_line(&fields) {
+        match decode_chunk_line(&rec) {
             Some(Ok((run_key, _))) => {
                 if let Some(prev) = last_chunk.insert(run_key, i) {
                     verdicts[prev] = Verdict::Delete;
@@ -1491,6 +1510,32 @@ mod tests {
             },
         }];
         encode_chunk(run_key, item, &stats, &violations)
+    }
+
+    #[test]
+    fn fixture_chunk_line_is_byte_identical_and_decodes() {
+        // Captured from the previous release's encoder.
+        const CHUNK: &str = r#"{"kind":"chunk_done","run_key":21,"item":3,"windows":64,"forks":3,"explored":9,"memo_hits":2,"steps":40,"violations":1,"viols":"7|5p|stuck"}"#;
+        assert_eq!(sample_chunk(21, 3, 64), CHUNK);
+        let (_, chunks, diagnostics) = decode_chunks(&[CHUNK.to_string()]);
+        assert!(diagnostics.is_empty());
+        let chunk = &chunks[&21];
+        assert_eq!(
+            (chunk.item, chunk.stats.windows, chunk.stats.steps),
+            (3, 64, 40)
+        );
+        let schedule = vec![PlannedInjection {
+            after_steps: 5,
+            kind: InjectionKind::PowerFailure,
+        }];
+        assert_eq!(
+            chunk.violations,
+            vec![JournaledViolation {
+                window: 7,
+                schedule,
+                outcome: Outcome::Stuck
+            }]
+        );
     }
 
     #[test]

@@ -33,15 +33,14 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use gecko_compiler::ProgramFingerprints;
-use gecko_fleet::journal::{field, parse_flat_json, JsonScalar};
-use gecko_fleet::lock_unpoisoned;
-use gecko_fleet::telemetry::json_kv;
+use gecko_fleet::{lock_unpoisoned, Json};
+use gecko_sim::report::json_kv;
 use gecko_sim::Value;
 use gecko_store::{LogConfig, SegmentedLog, Verdict};
 
 use crate::campaign::{
-    decode_outcome, decode_schedule, encode_outcome, encode_schedule, ChunkLineError,
-    JournaledViolation,
+    decode_outcome, decode_viols, encode_outcome, encode_viols, str_field, u64_field,
+    ChunkLineError, JournaledViolation,
 };
 use crate::explore::{ExploreObserver, SlabOutcome, SlabProgress};
 use crate::verdict::{CheckStats, Outcome, Violation};
@@ -115,51 +114,6 @@ fn decode_regions(text: &str) -> Result<BTreeSet<u32>, ChunkLineError> {
         .collect()
 }
 
-fn encode_viols(violations: &[JournaledViolation]) -> String {
-    let parts: Vec<String> = violations
-        .iter()
-        .map(|v| {
-            format!(
-                "{}|{}|{}",
-                v.window,
-                encode_schedule(&v.schedule),
-                encode_outcome(v.outcome)
-            )
-        })
-        .collect();
-    parts.join(";")
-}
-
-fn decode_viols(text: &str) -> Result<Vec<JournaledViolation>, ChunkLineError> {
-    let mut out = Vec::new();
-    if text.is_empty() {
-        return Ok(out);
-    }
-    for (vi, part) in text.split(';').enumerate() {
-        let mut cols = part.splitn(3, '|');
-        let mut col = |name: &str| {
-            cols.next()
-                .map(str::to_string)
-                .ok_or_else(|| ChunkLineError::Malformed {
-                    path: format!("viols[{vi}].{name}"),
-                })
-        };
-        let window: u64 = col("window")?
-            .parse()
-            .map_err(|_| ChunkLineError::Malformed {
-                path: format!("viols[{vi}].window"),
-            })?;
-        let schedule = decode_schedule(&col("schedule")?, &format!("viols[{vi}].schedule"))?;
-        let outcome = decode_outcome(&col("outcome")?, &format!("viols[{vi}].outcome"))?;
-        out.push(JournaledViolation {
-            window,
-            schedule,
-            outcome,
-        });
-    }
-    Ok(out)
-}
-
 fn encode_memo_line(line: &MemoLine) -> String {
     match line {
         MemoLine::Meta {
@@ -188,7 +142,14 @@ fn encode_memo_line(line: &MemoLine) -> String {
             ("memo_hits", Value::U64(rec.stats.memo_hits)),
             ("steps", Value::U64(rec.stats.steps)),
             ("violations", Value::U64(rec.stats.violations)),
-            ("viols", Value::Str(encode_viols(&rec.violations))),
+            (
+                "viols",
+                Value::Str(encode_viols(
+                    rec.violations
+                        .iter()
+                        .map(|v| (v.window, &v.schedule[..], v.outcome)),
+                )),
+            ),
         ]),
         MemoLine::State {
             run_key,
@@ -212,29 +173,16 @@ fn encode_memo_line(line: &MemoLine) -> String {
 /// Decodes one parsed line. `None` means the line is not in this store's
 /// vocabulary at all; `Some(Err(_))` is one of our kinds this binary
 /// cannot use.
-fn decode_memo_line(fields: &[(String, JsonScalar)]) -> Option<Result<MemoLine, ChunkLineError>> {
-    let kind = field(fields, "kind")?.as_str()?;
+fn decode_memo_line(rec: &Json) -> Option<Result<MemoLine, ChunkLineError>> {
+    let kind = rec.get("kind")?.as_str()?;
     if !matches!(kind, MEMO_META | MEMO_SLAB | MEMO_STATE | MEMO_DROP) {
         return None;
     }
-    let u = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_u64)
-            .ok_or_else(|| ChunkLineError::Malformed {
-                path: name.to_string(),
-            })
-    };
-    let s = |name: &str| {
-        field(fields, name)
-            .and_then(JsonScalar::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ChunkLineError::Malformed {
-                path: name.to_string(),
-            })
-    };
+    let u = |name: &str| u64_field(rec, name);
+    let s = |name: &str| str_field(rec, name);
     Some((|| match kind {
         MEMO_META => Ok(MemoLine::Meta {
-            name: s("name")?,
+            name: s("name")?.to_string(),
             fingerprint: u("fingerprint")?,
             generation: u("generation")?,
         }),
@@ -247,7 +195,7 @@ fn decode_memo_line(fields: &[(String, JsonScalar)]) -> Option<Result<MemoLine, 
                 golden: u("golden")?,
                 program_fp: u("program_fp")?,
                 rfp: u("rfp")?,
-                regions: decode_regions(&s("regions")?)?,
+                regions: decode_regions(s("regions")?)?,
                 stats: CheckStats {
                     windows: u("windows")?,
                     forks: u("forks")?,
@@ -256,14 +204,14 @@ fn decode_memo_line(fields: &[(String, JsonScalar)]) -> Option<Result<MemoLine, 
                     steps: u("steps")?,
                     violations: u("violations")?,
                 },
-                violations: decode_viols(&s("viols")?)?,
+                violations: decode_viols(s("viols")?)?,
             },
         }),
         MEMO_STATE => Ok(MemoLine::State {
             run_key: u("run_key")?,
             upto: u("upto")?,
             state: u("state")?,
-            outcome: decode_outcome(&s("outcome")?, "outcome")?,
+            outcome: decode_outcome(s("outcome")?, "outcome")?,
         }),
         _ => Ok(MemoLine::Drop {
             run_key: u("run_key")?,
@@ -366,10 +314,10 @@ impl MemoStore {
         let log = Arc::new(SegmentedLog::open(dir, LogConfig::default())?);
         let mut state = StoreState::default();
         for line in log.lines() {
-            let Some(fields) = parse_flat_json(&line) else {
+            let Some(rec) = Json::parse_record(&line) else {
                 continue;
             };
-            if let Some(Ok(memo_line)) = decode_memo_line(&fields) {
+            if let Some(Ok(memo_line)) = decode_memo_line(&rec) {
                 state.apply(&memo_line);
             }
         }
@@ -650,15 +598,15 @@ pub fn classify_memo_lines(lines: &[String]) -> Vec<Verdict> {
     let parsed: Vec<Parsed> = lines
         .iter()
         .map(|line| {
-            let Some(fields) = parse_flat_json(line) else {
+            let Some(rec) = Json::parse_record(line) else {
                 return Parsed::Garbage;
             };
-            match decode_memo_line(&fields) {
+            match decode_memo_line(&rec) {
                 None => Parsed::Foreign,
                 Some(Ok(memo_line)) => Parsed::Line(memo_line),
                 Some(Err(ChunkLineError::Malformed { .. })) => Parsed::Malformed,
                 Some(Err(ChunkLineError::UnknownTag { .. })) => Parsed::ForwardCompat {
-                    run_key: field(&fields, "run_key").and_then(JsonScalar::as_u64),
+                    run_key: rec.get("run_key").and_then(Json::as_u64),
                 },
             }
         })
@@ -828,6 +776,42 @@ mod tests {
             fingerprint,
             generation,
         })
+    }
+
+    #[test]
+    fn fixture_memo_lines_are_byte_identical_and_decode() {
+        // Captured from the previous release's encoder. Every field is
+        // written, so `encode(decode(line)) == line` pins the decoded
+        // values too.
+        let state = MemoLine::State {
+            run_key: 5,
+            upto: 32,
+            state: 0xDEAD_BEEF,
+            outcome: Outcome::Corrupt { got: -1 },
+        };
+        let fixtures = [
+            (
+                meta_line(7, 1),
+                r#"{"kind":"memo_meta","name":"t","fingerprint":7,"generation":1}"#,
+            ),
+            (
+                slab_line(&fake_fps(), 5, 32, 64),
+                r#"{"kind":"memo_slab","run_key":5,"start":0,"end":64,"done":32,"golden":100,"program_fp":4369,"rfp":5835876482748003887,"regions":"1","windows":32,"forks":64,"explored":32,"memo_hits":32,"steps":320,"violations":0,"viols":"3|3p|stuck"}"#,
+            ),
+            (
+                encode_memo_line(&state),
+                r#"{"kind":"memo_state","run_key":5,"upto":32,"state":3735928559,"outcome":"corrupt.4294967295"}"#,
+            ),
+            (
+                encode_memo_line(&MemoLine::Drop { run_key: 6 }),
+                r#"{"kind":"memo_drop","run_key":6}"#,
+            ),
+        ];
+        for (written, fixture) in fixtures {
+            assert_eq!(written, fixture);
+            let decoded = decode_memo_line(&Json::parse_record(fixture).unwrap());
+            assert_eq!(encode_memo_line(&decoded.unwrap().unwrap()), fixture);
+        }
     }
 
     #[test]

@@ -1,30 +1,31 @@
-//! A full (nested) JSON decoder and tree encoder — the read half of the
-//! workspace's dependency-free JSON story.
+//! The workspace's one JSON reader: a full (nested) decoder plus a tree
+//! encoder.
 //!
 //! [`gecko_sim::report`] owns the *encoder*: every artifact this workspace
-//! writes (journal lines, telemetry events, experiment rows, bench
-//! summaries) goes through [`Value::write_json`] or the [`Record`] trait.
-//! The journal additionally carries a tolerant *flat* parser
-//! ([`crate::journal::parse_flat_json`]) that is deliberately limited to
-//! one-level objects so torn journal lines degrade to "skip the line".
-//!
-//! The network front door (`gecko-serve`) needs more: campaign
-//! specifications arrive as nested JSON documents (arrays of attack
-//! windows, device objects, workload variants) from clients that deserve
-//! *actionable* errors, not `None`. This module provides:
+//! writes (journal, memo and telemetry lines, experiment rows, bench
+//! summaries, wire documents) goes through [`Value::write_json`],
+//! [`write_json_string`] or [`json_kv`]. Everything above `gecko-store`
+//! reads back through [`Json::parse`]: campaign and checker journals, the
+//! memo store, job files and HTTP request bodies. (The store keeps its own
+//! tiny codec for `prune.json` because it sits below this crate.)
 //!
 //! * [`Json`] — an owned JSON tree whose scalar variants mirror
 //!   [`Value`] (`u64`/`i64`/`f64` are kept distinct so integers survive
 //!   round trips bit-exactly).
 //! * [`Json::parse`] — a recursive-descent parser with byte-offset
-//!   [`ParseError`]s ("byte 41: expected ':' after object key").
+//!   [`ParseError`]s ("byte 41: expected ':' after object key"). It runs
+//!   in time linear in the input, caps nesting at [`MAX_DEPTH`], and
+//!   never yields a non-finite number, so hostile input costs at most a
+//!   clean error.
+//! * [`Json::parse_record`] — the JSON-lines view: one line, one object,
+//!   and anything else (a torn tail, garbage, a bare scalar) reads as
+//!   "absent", so a line cut by a power failure is skipped, never fatal.
 //! * [`Json::encode`] — the inverse, emitting the exact same float
 //!   formatting as [`Value::write_json`], so
 //!   `Json::parse(doc)?.encode() == doc` for every document this
-//!   workspace produces (the encode→decode→encode property the
-//!   round-trip suites pin down).
+//!   workspace produces (the property the JSON codec suite pins down).
 //!
-//! [`Record`]: gecko_sim::report::Record
+//! [`json_kv`]: gecko_sim::report::json_kv
 
 use std::fmt;
 
@@ -79,6 +80,15 @@ impl Json {
         Ok(doc)
     }
 
+    /// Parses one JSON-lines record. `Some` only for a complete JSON
+    /// object; a torn, garbled or non-object line is `None`, which every
+    /// line decoder treats as "no record here".
+    pub fn parse_record(line: &str) -> Option<Json> {
+        Json::parse(line)
+            .ok()
+            .filter(|doc| matches!(doc, Json::Obj(_)))
+    }
+
     /// Encodes the tree as compact JSON, using the same scalar formatting
     /// as [`Value::write_json`] (floats keep a `.0` when integral; NaN
     /// and infinities encode as `null`).
@@ -121,16 +131,27 @@ impl Json {
         }
     }
 
-    /// Converts an encoder [`Value`] into its tree form.
-    pub fn from_value(value: &Value) -> Json {
-        match value {
-            Value::Str(s) => Json::Str(s.clone()),
-            Value::U64(v) => Json::U64(*v),
-            Value::I64(v) => Json::I64(*v),
-            Value::F64(v) => Json::F64(*v),
-            Value::Bool(b) => Json::Bool(*b),
-            Value::Null => Json::Null,
-        }
+    /// Converts ordered `(key, value)` fields (a [`Record`]'s, say) into
+    /// an object.
+    ///
+    /// [`Record`]: gecko_sim::report::Record
+    pub fn from_fields(fields: Vec<(&str, Value)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(key, value)| {
+                    let node = match value {
+                        Value::Str(s) => Json::Str(s),
+                        Value::U64(v) => Json::U64(v),
+                        Value::I64(v) => Json::I64(v),
+                        Value::F64(v) => Json::F64(v),
+                        Value::Bool(b) => Json::Bool(b),
+                        Value::Null => Json::Null,
+                    };
+                    (key.to_string(), node)
+                })
+                .collect(),
+        )
     }
 
     /// A short name for this node's type, for error messages.
@@ -349,13 +370,25 @@ impl Parser<'_> {
         self.eat(b'"');
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or escape
+            // in one go. Both delimiters are ASCII, so the run ends on a
+            // char boundary of the (valid UTF-8) input.
+            let start = self.i;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
+                self.i += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[start..self.i])
+                    .map_err(|_| self.err("valid UTF-8"))?,
+            );
             match self.peek() {
                 None => return Err(self.err("closing '\"'")),
                 Some(b'"') => {
                     self.i += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: decode one escape.
                     self.i += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -385,15 +418,6 @@ impl Parser<'_> {
                     }
                     self.i += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str, so
-                    // char boundaries are intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.i..])
-                        .map_err(|_| self.err("valid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("a character"))?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
             }
         }
     }
@@ -412,13 +436,23 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.i]).expect("ASCII span");
-        let parsed = if is_float {
-            text.parse().ok().map(Json::F64)
+        let integer = if is_float {
+            None
         } else if text.starts_with('-') {
             text.parse().ok().map(Json::I64)
         } else {
             text.parse().ok().map(Json::U64)
         };
+        // An integer literal too wide for u64/i64 is how the encoder
+        // writes an integral float of 2^64 or more; read it back as one.
+        // Literals that overflow f64 are rejected: the encoder never
+        // writes them, and an infinity would re-encode as `null`.
+        let parsed = integer.or_else(|| {
+            text.parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite())
+                .map(Json::F64)
+        });
         parsed.ok_or_else(|| {
             self.i = start;
             self.err("a number")
@@ -493,5 +527,44 @@ mod tests {
         // The encoder writes non-finite floats as null; parsing never
         // produces a non-finite number.
         assert_eq!(Json::F64(f64::NAN).encode(), "null");
+        for overflow in ["1e999", "-1e999", "[1e999]"] {
+            let e = Json::parse(overflow).unwrap_err();
+            assert!(e.expected.contains("a number"), "{overflow}: {e}");
+        }
+        // Integral floats of 2^64 and up encode without a fraction; they
+        // read back as the same float, and re-encode to the same text.
+        for wide in [1e21, -1e21, 2f64.powi(64)] {
+            let text = Json::F64(wide).encode();
+            assert_eq!(Json::parse(&text).unwrap(), Json::F64(wide), "{text}");
+            assert_eq!(Json::parse(&text).unwrap().encode(), text);
+        }
+    }
+
+    #[test]
+    fn string_scan_is_linear_in_the_input() {
+        // A hostile request body: one 1 MiB string with escapes and
+        // multi-byte characters sprinkled in. A per-character rescan of
+        // the remaining input would take minutes here.
+        let raw = r"abcdefgh\\é\n€xyz0123456789";
+        let decoded = "abcdefgh\\é\n€xyz0123456789";
+        let reps = (1 << 20) / raw.len() + 1;
+        let doc = format!("\"{}\"", raw.repeat(reps));
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB string took {elapsed:?}"
+        );
+        assert_eq!(parsed, Json::Str(decoded.repeat(reps)));
+    }
+
+    #[test]
+    fn parse_record_accepts_only_whole_objects() {
+        assert!(Json::parse_record(r#"{"a":1,"b":[2]}"#).is_some());
+        assert!(Json::parse_record("{}").is_some());
+        for line in ["", "{\"a\":1", "[1]", "7", "\"s\"", "{\"a\":1} trailing"] {
+            assert!(Json::parse_record(line).is_none(), "{line:?}");
+        }
     }
 }

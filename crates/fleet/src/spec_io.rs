@@ -48,7 +48,8 @@ pub struct DecodeError {
 }
 
 impl DecodeError {
-    fn new(path: &str, message: impl Into<String>) -> DecodeError {
+    /// An error at `path` (empty for the document root).
+    pub fn new(path: &str, message: impl Into<String>) -> DecodeError {
         DecodeError {
             path: path.to_string(),
             message: message.into(),
@@ -104,20 +105,25 @@ impl From<DecodeError> for SpecError {
 // ---------------------------------------------------------------------------
 // Typed accessors (path-carrying)
 // ---------------------------------------------------------------------------
+// Shared by every wire decoder, here and in `gecko-serve`.
 
-fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
+/// An "expected {wanted}, got {the kind of `v`}" error at `path`.
+pub fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
     DecodeError::new(path, format!("expected {wanted}, got {}", v.kind_name()))
 }
 
-fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
+/// The string at `path`.
+pub fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
     v.as_str().ok_or_else(|| type_err(v, path, "a string"))
 }
 
-fn as_f64(v: &Json, path: &str) -> Result<f64, DecodeError> {
+/// The number at `path`, widened to `f64`.
+pub fn as_f64(v: &Json, path: &str) -> Result<f64, DecodeError> {
     v.as_f64().ok_or_else(|| type_err(v, path, "a number"))
 }
 
-fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
+/// The non-negative integer at `path`.
+pub fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
     v.as_u64()
         .ok_or_else(|| type_err(v, path, "a non-negative integer"))
 }
@@ -126,27 +132,30 @@ fn as_usize(v: &Json, path: &str) -> Result<usize, DecodeError> {
     Ok(as_u64(v, path)? as usize)
 }
 
-fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
+/// The boolean at `path`.
+pub fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
     v.as_bool().ok_or_else(|| type_err(v, path, "a boolean"))
 }
 
-fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
+/// The array elements at `path`.
+pub fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
     v.as_arr().ok_or_else(|| type_err(v, path, "an array"))
 }
 
-fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
+/// The object fields at `path`.
+pub fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
     v.as_obj().ok_or_else(|| type_err(v, path, "an object"))
 }
 
-/// Required-field lookup.
-fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
+/// Required-field lookup in the object at `path`.
+pub fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
     as_obj(v, path)?;
     v.get(key)
         .ok_or_else(|| DecodeError::new(path, format!("missing required field `{key}`")))
 }
 
 /// Optional-field lookup; an explicit `null` reads as absent.
-fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
+pub fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
     match v.get(key) {
         Some(Json::Null) | None => None,
         Some(found) => Some(found),
@@ -155,7 +164,7 @@ fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
 
 /// Rejects fields outside `allowed` — typos come back as errors naming
 /// the accepted spellings, not as silently ignored keys.
-fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
+pub fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
     for (key, _) in as_obj(v, path)? {
         if !allowed.contains(&key.as_str()) {
             return Err(DecodeError::new(
@@ -854,15 +863,12 @@ pub fn spec_from_json(text: &str) -> Result<CampaignSpec, SpecError> {
 // ---------------------------------------------------------------------------
 
 fn metrics_value(m: &Metrics) -> Json {
-    Json::Obj(
-        m.fields()
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::from_value(&value)))
-            .collect(),
-    )
+    Json::from_fields(m.fields())
 }
 
-fn failure_value(f: &RunFailure) -> Json {
+/// One quarantined failure as a report object (`kind`, `item`,
+/// `run_key`, `detail`) — shared by campaign and check reports.
+pub fn failure_value(f: &RunFailure) -> Json {
     Json::Obj(vec![
         ("kind".into(), Json::Str(f.kind().name().to_string())),
         (

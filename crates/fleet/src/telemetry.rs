@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gecko_sim::report::{write_json_string, Record, Value};
+use gecko_sim::report::{Record, Value};
 
 use crate::supervisor::lock_unpoisoned;
 
@@ -380,21 +380,6 @@ impl Sequencer {
     }
 }
 
-/// Helper: a `("k", v)` JSON object string from raw parts, for summaries.
-pub fn json_kv(pairs: &[(&str, Value)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(k, &mut out);
-        out.push(':');
-        v.write_json(&mut out);
-    }
-    out.push('}');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +400,27 @@ mod tests {
     fn event_json_includes_kind_first() {
         let e = Event::new("item_finished", vec![("item", Value::U64(3))]);
         assert_eq!(e.to_json(), r#"{"event":"item_finished","item":3}"#);
+        // Every value kind, as the previous release wrote it; the one
+        // reader gives the same text back.
+        const FIXTURE: &str = r#"{"event":"item_finished","item":3,"app":"crc\"16\n","wall_s":0.25,"sim_s":2.0,"delta":-4,"ok":true,"none":null,"nan":null}"#;
+        let e = Event::new(
+            "item_finished",
+            vec![
+                ("item", Value::U64(3)),
+                ("app", Value::Str("crc\"16\n".into())),
+                ("wall_s", Value::F64(0.25)),
+                ("sim_s", Value::F64(2.0)),
+                ("delta", Value::I64(-4)),
+                ("ok", Value::Bool(true)),
+                ("none", Value::Null),
+                ("nan", Value::F64(f64::NAN)),
+            ],
+        );
+        assert_eq!(e.to_json(), FIXTURE);
+        let doc = crate::json::Json::parse_record(FIXTURE).unwrap();
+        assert_eq!(doc.get("app").and_then(|v| v.as_str()), Some("crc\"16\n"));
+        assert_eq!(doc.get("delta"), Some(&crate::json::Json::I64(-4)));
+        assert_eq!(doc.encode(), FIXTURE);
     }
 
     #[test]

@@ -4,86 +4,25 @@
 //! Campaign sweeps already have their codec in [`gecko_fleet::spec_io`];
 //! this module adds the pieces the fleet crate cannot host (anything
 //! touching `gecko_check` types) plus the HTTP-only envelopes. The same
-//! rules apply: strict unknown-field rejection, path-carrying errors, and
-//! encoding that reuses [`gecko_sim::report::Value`] formatting so
-//! encode → decode → encode is byte-identical.
+//! rules apply, through the same path-carrying accessors
+//! ([`gecko_fleet::spec_io::get`], [`gecko_fleet::spec_io::check_keys`], …):
+//! strict unknown-field rejection, path-carrying errors, and encoding that
+//! reuses [`gecko_sim::report::Value`] formatting so encode → decode →
+//! encode is byte-identical.
 
 use gecko_check::{CheckReport, CheckSpec, ExploreConfig};
 use gecko_fleet::json::Json;
-use gecko_fleet::spec_io::{DecodeError, SpecError};
-use gecko_fleet::supervisor::RunFailure;
+use gecko_fleet::spec_io::{
+    as_arr, as_bool, as_obj, as_str, as_u64, check_keys, failure_value, get, opt, type_err,
+    DecodeError, SpecError,
+};
 use gecko_fleet::telemetry::Event;
 use gecko_fleet::SchemeKind;
-use gecko_sim::report::Record;
-
-// ---------------------------------------------------------------------------
-// Path-carrying accessors (same shape as spec_io's private helpers)
-// ---------------------------------------------------------------------------
-
-fn err(path: &str, message: impl Into<String>) -> DecodeError {
-    DecodeError {
-        path: path.to_string(),
-        message: message.into(),
-    }
-}
-
-fn type_err(v: &Json, path: &str, wanted: &str) -> DecodeError {
-    err(path, format!("expected {wanted}, got {}", v.kind_name()))
-}
-
-fn as_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
-    v.as_str().ok_or_else(|| type_err(v, path, "a string"))
-}
-
-fn as_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
-    v.as_u64()
-        .ok_or_else(|| type_err(v, path, "a non-negative integer"))
-}
+use gecko_sim::report::{Record, Value};
 
 fn as_u32(v: &Json, path: &str) -> Result<u32, DecodeError> {
     u32::try_from(as_u64(v, path)?)
         .map_err(|_| type_err(v, path, "an integer that fits in 32 bits"))
-}
-
-fn as_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
-    v.as_bool().ok_or_else(|| type_err(v, path, "a boolean"))
-}
-
-fn as_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], DecodeError> {
-    v.as_arr().ok_or_else(|| type_err(v, path, "an array"))
-}
-
-fn as_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], DecodeError> {
-    v.as_obj().ok_or_else(|| type_err(v, path, "an object"))
-}
-
-fn get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
-    as_obj(v, path)?;
-    v.get(key)
-        .ok_or_else(|| err(path, format!("missing required field `{key}`")))
-}
-
-/// Optional-field lookup; an explicit `null` reads as absent.
-fn opt<'a>(v: &'a Json, key: &str) -> Option<&'a Json> {
-    match v.get(key) {
-        Some(Json::Null) | None => None,
-        Some(found) => Some(found),
-    }
-}
-
-fn check_keys(v: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
-    for (key, _) in as_obj(v, path)? {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(
-                path,
-                format!(
-                    "unknown field `{key}` (expected one of: {})",
-                    allowed.join(", ")
-                ),
-            ));
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -199,7 +138,7 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
             let app_name = as_str(entry, &epath)?;
             let app = gecko_apps::app_by_name(app_name).ok_or_else(|| {
                 let known: Vec<&str> = gecko_apps::all_apps().iter().map(|a| a.name).collect();
-                err(
+                DecodeError::new(
                     &epath,
                     format!(
                         "unknown app `{app_name}` (known apps: {})",
@@ -216,7 +155,7 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
             let epath = format!("{spath}[{i}]");
             let slug = as_str(entry, &epath)?;
             let scheme = SchemeKind::from_name(slug).ok_or_else(|| {
-                err(
+                DecodeError::new(
                     &epath,
                     format!(
                         "unknown scheme `{slug}` (expected nvp, ratchet, gecko, gecko-no-prune)"
@@ -304,7 +243,10 @@ pub fn check_spec_from_value(v: &Json, path: &str) -> Result<CheckSpec, DecodeEr
     if let Some(c) = opt(v, "chunk_windows") {
         let n = as_u64(c, &sub("chunk_windows"))?;
         if n == 0 {
-            return Err(err(&sub("chunk_windows"), "must be at least 1"));
+            return Err(DecodeError::new(
+                &sub("chunk_windows"),
+                "must be at least 1",
+            ));
         }
         spec.chunk_windows = n;
     }
@@ -326,18 +268,6 @@ pub fn check_spec_from_json(text: &str) -> Result<CheckSpec, SpecError> {
 // ---------------------------------------------------------------------------
 // CheckReport documents
 // ---------------------------------------------------------------------------
-
-fn failure_value(f: &RunFailure) -> Json {
-    Json::Obj(vec![
-        ("kind".into(), Json::Str(f.kind().name().to_string())),
-        (
-            "item".into(),
-            f.item().map_or(Json::Null, |i| Json::U64(i as u64)),
-        ),
-        ("run_key".into(), f.run_key().map_or(Json::Null, Json::U64)),
-        ("detail".into(), Json::Str(f.describe())),
-    ])
-}
 
 fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
     let t = &report.totals;
@@ -394,15 +324,7 @@ fn check_report_value(report: &CheckReport, deterministic: bool) -> Json {
             report
                 .results
                 .iter()
-                .map(|pair| {
-                    Json::Obj(
-                        pair.to_row()
-                            .fields()
-                            .into_iter()
-                            .map(|(name, value)| (name.to_string(), Json::from_value(&value)))
-                            .collect(),
-                    )
-                })
+                .map(|pair| Json::from_fields(pair.to_row().fields()))
                 .collect(),
         ),
     ));
@@ -476,14 +398,14 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
         .map(|w| as_u64(w, "workers").map(|n| n as usize))
         .transpose()?;
     if workers == Some(0) {
-        return Err(err("workers", "must be at least 1").into());
+        return Err(DecodeError::new("workers", "must be at least 1").into());
     }
     let halt_after = opt(&doc, "halt_after")
         .map(|h| as_u64(h, "halt_after"))
         .transpose()?;
     if let Some(b) = opt(&doc, "batch") {
         if as_u64(b, "batch")? == 0 {
-            return Err(err("batch", "must be at least 1").into());
+            return Err(DecodeError::new("batch", "must be at least 1").into());
         }
     }
     let incremental = opt(&doc, "incremental")
@@ -506,20 +428,14 @@ pub fn parse_submission(text: &str) -> Result<Submission, SpecError> {
 /// number first (so clients can resume `?from=` after a dropped poll),
 /// then the event's own fields via its [`Record`] projection.
 pub fn event_value(seq: u64, event: &Event) -> Json {
-    let mut fields = vec![("seq".to_string(), Json::U64(seq))];
-    fields.extend(
-        event
-            .fields()
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), Json::from_value(&value))),
-    );
-    Json::Obj(fields)
+    let mut fields = vec![("seq", Value::U64(seq))];
+    fields.extend(event.fields());
+    Json::from_fields(fields)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gecko_sim::report::Value;
 
     fn fancy_check_spec() -> CheckSpec {
         CheckSpec::new("serve-check")

@@ -1,12 +1,17 @@
-//! Structured experiment records without external serialization crates.
+//! Structured experiment records and the workspace's one JSON encoder,
+//! without external serialization crates.
 //!
 //! Every experiment row type implements [`Record`]: an ordered list of
 //! `(field, Value)` pairs. The [`impl_record!`](crate::impl_record) macro derives the
 //! implementation from a field list (the replacement for the per-row serde
-//! derives this workspace used to carry). `gecko-fleet`'s telemetry sinks
-//! and `gecko-bench`'s persistence render records as JSON with the
-//! hand-rolled encoder below, so the default build needs no crates.io
-//! access at all.
+//! derives this workspace used to carry).
+//!
+//! Every JSON byte the workspace writes above `gecko-store` comes from
+//! here: [`Value::write_json`] for scalars, [`write_json_string`] for
+//! strings, and [`json_kv`] for the flat `{"k":v,…}` objects that make up
+//! journal, memo and telemetry lines (and [`Record::to_json`]). The
+//! matching reader is `gecko_fleet::json::Json`; floats are written in
+//! Rust's shortest round-trip form, so a line reads back bit-exactly.
 
 use std::fmt::Write as _;
 
@@ -137,34 +142,24 @@ pub trait Record {
 
     /// The row as one JSON object.
     fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64);
-        out.push('{');
-        for (i, (name, value)) in self.fields().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(name, &mut out);
-            out.push(':');
-            value.write_json(&mut out);
-        }
-        out.push('}');
-        out
+        json_kv(&self.fields())
     }
 }
 
-/// Encodes a slice of records as a pretty-printed JSON array (one object
-/// per line), matching what the bench harness persists.
-pub fn records_to_json<R: Record>(rows: &[R]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&r.to_json());
-        if i + 1 < rows.len() {
+/// Encodes ordered `(key, value)` pairs as one flat JSON object
+/// (`{"k":v,…}`, no whitespace) — the shape of every JSON-lines record.
+pub fn json_kv(pairs: &[(&str, Value)]) -> String {
+    let mut out = String::with_capacity(64);
+    out.push('{');
+    for (i, (key, value)) in pairs.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        out.push('\n');
+        write_json_string(key, &mut out);
+        out.push(':');
+        value.write_json(&mut out);
     }
-    out.push(']');
+    out.push('}');
     out
 }
 
@@ -236,30 +231,5 @@ mod tests {
         Value::F64(1e-7).write_json(&mut s);
         assert_eq!(s, "0.0000001");
         assert_eq!(s.parse::<f64>().unwrap(), 1e-7);
-    }
-
-    #[test]
-    fn array_layout_is_one_object_per_line() {
-        let rows = vec![
-            Row {
-                name: "x".into(),
-                n: 1,
-                x: 1.5,
-                ok: false,
-                opt: Some(2.5),
-            },
-            Row {
-                name: "y".into(),
-                n: 2,
-                x: 2.5,
-                ok: true,
-                opt: None,
-            },
-        ];
-        let json = records_to_json(&rows);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with(']'));
-        assert_eq!(json.lines().count(), 4);
-        assert!(json.contains(r#""opt":2.5"#));
     }
 }

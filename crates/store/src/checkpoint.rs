@@ -161,6 +161,26 @@ fn read_string(s: &str) -> Option<(String, &str)> {
 mod tests {
     use super::*;
 
+    fn three_kinds() -> [(&'static str, PruneCheckpoint); 3] {
+        let cp = |next_segment, pruned_entries, reclaimed_bytes| PruneCheckpoint {
+            next_segment,
+            pruned_entries,
+            reclaimed_bytes,
+        };
+        [
+            ("journal", cp(3, 120, 4096)),
+            ("telemetry", cp(0, 0, 0)),
+            ("job_dirs", cp(u64::MAX, 7, 1)),
+        ]
+    }
+
+    /// `prune.json` as the previous release wrote it for [`three_kinds`].
+    const FIXTURE: [&str; 3] = [
+        r#"{"kind":"job_dirs","next_segment":18446744073709551615,"pruned_entries":7,"reclaimed_bytes":1}"#,
+        r#"{"kind":"journal","next_segment":3,"pruned_entries":120,"reclaimed_bytes":4096}"#,
+        r#"{"kind":"telemetry","next_segment":0,"pruned_entries":0,"reclaimed_bytes":0}"#,
+    ];
+
     #[test]
     fn checkpoints_round_trip_across_reopen() {
         let dir = std::env::temp_dir().join(format!("gecko-store-cp-{}", std::process::id()));
@@ -169,33 +189,40 @@ mod tests {
         let path = dir.join("prune.json");
         let mut store = CheckpointStore::open(&path).unwrap();
         assert!(store.get("journal").is_none());
-        store
-            .save(
-                "journal",
-                PruneCheckpoint {
-                    next_segment: 3,
-                    pruned_entries: 120,
-                    reclaimed_bytes: 4096,
-                },
-            )
-            .unwrap();
-        store.save("telemetry", PruneCheckpoint::default()).unwrap();
-
-        let store = CheckpointStore::open(&path).unwrap();
-        assert_eq!(
-            store.get("journal"),
-            Some(PruneCheckpoint {
-                next_segment: 3,
-                pruned_entries: 120,
-                reclaimed_bytes: 4096,
-            })
-        );
-        assert_eq!(store.get("telemetry"), Some(PruneCheckpoint::default()));
-        assert_eq!(store.all().count(), 2);
+        for (kind, cp) in three_kinds() {
+            store.save(kind, cp).unwrap();
+        }
         assert!(
             !path.with_extension("json.tmp").exists(),
             "save leaves no tmp behind"
         );
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(String::from_utf8_lossy(&bytes), FIXTURE.join("\n") + "\n");
+
+        // Reopen after a power cut at every byte offset (the last one is
+        // the intact file): every kind reads back either absent or exactly
+        // as saved, and opening never fails.
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let reopened = CheckpointStore::open(&path).unwrap();
+            let mut present = 0;
+            for (kind, cp) in three_kinds() {
+                match reopened.get(kind) {
+                    None => {}
+                    Some(got) => {
+                        assert_eq!(got, cp, "cut at byte {cut}: {kind}");
+                        present += 1;
+                    }
+                }
+            }
+            assert_eq!(reopened.all().count(), present, "cut at byte {cut}");
+            // ...and no line that survived the cut whole is lost.
+            let whole = bytes[..cut]
+                .split(|b| *b == b'\n')
+                .filter(|line| line.ends_with(b"}"))
+                .count();
+            assert_eq!(present, whole, "cut at byte {cut}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

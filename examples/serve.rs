@@ -16,7 +16,7 @@
 //! cargo run --release --example serve -- --smoke
 //! ```
 
-use gecko_suite::fleet::{report_deterministic_json, spec_to_json, Campaign};
+use gecko_suite::fleet::{report_deterministic_json, spec_to_json, Campaign, Json};
 use gecko_suite::serve::{http_call, ServeConfig, Server};
 
 fn spec() -> gecko_suite::fleet::CampaignSpec {
@@ -80,7 +80,8 @@ fn main() {
     let resp = http_call(&addr, "POST", "/v1/campaigns", &body).expect("submit");
     assert_eq!(resp.status, 201, "submit failed: {}", resp.body);
     chat(&format!("{}\n", resp.body));
-    let id = field_u64(&resp.body, "\"id\":").expect("job id in status doc");
+    let status = Json::parse(&resp.body).expect("status doc");
+    let id = status.get("id").and_then(Json::as_u64).expect("job id");
 
     // GET /v1/jobs/<id>/events — stream telemetry while the job runs.
     let mut from = 0u64;
@@ -94,8 +95,9 @@ fn main() {
         )
         .expect("events");
         assert_eq!(resp.status, 200, "{}", resp.body);
-        let closed = resp.body.contains("\"closed\":true");
-        let next = field_u64(&resp.body, "\"next\":").unwrap_or(from);
+        let batch = Json::parse(&resp.body).expect("events doc");
+        let closed = batch.get("closed").and_then(Json::as_bool) == Some(true);
+        let next = batch.get("next").and_then(Json::as_u64).unwrap_or(from);
         events_seen += next - from;
         from = next;
         if closed {
@@ -146,12 +148,4 @@ fn main() {
         reference_doc.len(),
         reference.deterministic_digest()
     );
-}
-
-/// Pulls the first `"key":123` integer out of a JSON document — enough
-/// for a transcript-style client (real clients use `fleet::Json`).
-fn field_u64(doc: &str, marker: &str) -> Option<u64> {
-    let at = doc.find(marker)? + marker.len();
-    let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
