@@ -21,7 +21,8 @@
 //!    * **Fault path** — the EM instruction-fault seam's fault-free cost:
 //!      an armed-but-unreached fault window forces every span plan
 //!      through the fault-edge guard; bit-identical trajectory asserted,
-//!      wall-clock overhead gated `< 2%` (`< 10%` in the quick run).
+//!      wall-clock overhead (median of interleaved pairs) gated `< 2%`
+//!      (`< 10%` in the quick run).
 //! 3. **Dispatch** — predecoded vs interpreted instruction dispatch on the
 //!    bench-supply throughput workload (the same shape as the
 //!    `sim_throughput` micro-bench), reported as steps/s per scheme.
@@ -36,15 +37,22 @@
 //!      match the store-free reference either way.
 //! 6. **Campaign resume** — the same fleet campaign with a resume journal
 //!    attached, vs plain, vs replayed from a complete journal. The clean
-//!    path must absorb supervision + journaling for < 2% overhead, and a
-//!    full-journal resume must re-execute nothing.
+//!    path must absorb supervision + journaling for < 2% overhead (< 10%
+//!    in the quick run), and a full-journal resume must re-execute
+//!    nothing.
 //! 7. **Serve submit** — the same quick grid submitted to an ephemeral
 //!    `gecko-serve` daemon over HTTP (submit, long-poll, fetch) vs the
 //!    direct library call; the service layer must add < 10% and produce
 //!    the identical deterministic digest.
+//!
+//! The three wall-clock overhead gates (fault path, campaign resume,
+//! serve submit) time their two sides interleaved — A, B, A, B, … — and
+//! bound the median per-pair ratio, printing its interquartile spread
+//! (`gecko_bench::time_interleaved`).
 
 use gecko_bench::{
-    print_table, save_json_summary, save_rows, time_best_of, workers_from_env, SummaryRow,
+    print_table, save_json_summary, save_rows, time_best_of, time_interleaved, workers_from_env,
+    SummaryRow,
 };
 use gecko_check::{check_app, ExploreConfig};
 use gecko_compiler::CompileOptions;
@@ -299,7 +307,7 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
 
     let app = gecko_apps::app_by_name("bitcnt").unwrap();
     let window_s = if quick { 0.05 } else { 0.2 };
-    let iters = if quick { 3 } else { 5 };
+    let pairs = if quick { 9 } else { 11 };
     // Armed (DPI P2 at 35 dBm clears the fault power threshold) but
     // opening three orders of magnitude past the simulated window.
     let far_future = FaultSchedule::from_windows(vec![TimedFault {
@@ -333,12 +341,14 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
     assert_eq!(plain.state_hash(), guarded.state_hash());
     assert_eq!(guarded.metrics.fault_skips, 0);
 
-    let plain_wall = time_best_of(iters, run_plain);
-    let guarded_wall = time_best_of(iters, run_guarded);
-    let overhead = guarded_wall.as_secs_f64() / plain_wall.as_secs_f64();
+    let timed = time_interleaved(pairs, run_plain, run_guarded);
+    let (plain_wall, guarded_wall, overhead) = (timed.a, timed.b, timed.ratio);
     let steps = plain.fast_path_stats().steps;
     print_table(
-        &format!("fault-free fault-path overhead, bitcnt, {window_s}s window (best of {iters})"),
+        &format!(
+            "fault-free fault-path overhead, bitcnt, {window_s}s window \
+             (median of {pairs} interleaved pairs)"
+        ),
         &["path", "wall", "vs plain"],
         &[
             vec![
@@ -349,7 +359,7 @@ fn bench_fault_path(rows: &mut Vec<BenchRow>, quick: bool) {
             vec![
                 "guarded".to_string(),
                 format!("{:.1}ms", guarded_wall.as_secs_f64() * 1e3),
-                format!("{overhead:.3}x"),
+                format!("{overhead:.3}x ±{:.3}", timed.spread),
             ],
         ],
     );
@@ -455,7 +465,7 @@ fn bench_campaign(rows: &mut Vec<BenchRow>, quick: bool) {
 fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
     use std::sync::Arc;
     let seconds = if quick { 0.05 } else { 0.2 };
-    let iters = if quick { 2 } else { 5 };
+    let pairs = if quick { 15 } else { 21 };
     let spec = || {
         CampaignSpec::new("bench_resume")
             .apps(["blink", "crc16"])
@@ -468,14 +478,18 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
 
     // Clean path: supervision is always on; the journal is the only delta.
     let plain = Campaign::new(spec()).workers(workers);
-    let plain_wall = time_best_of(iters, || plain.run().expect("campaign runs"));
-    let journaled_wall = time_best_of(iters, || {
-        Campaign::new(spec())
-            .workers(workers)
-            .journal(Arc::new(Journal::memory()))
-            .run()
-            .expect("journaled campaign runs")
-    });
+    let timed = time_interleaved(
+        pairs,
+        || plain.run().expect("campaign runs"),
+        || {
+            Campaign::new(spec())
+                .workers(workers)
+                .journal(Arc::new(Journal::memory()))
+                .run()
+                .expect("journaled campaign runs")
+        },
+    );
+    let (plain_wall, journaled_wall, overhead) = (timed.a, timed.b, timed.ratio);
 
     // Replay path: resuming from a complete journal re-executes nothing,
     // so it must merge bit-exactly and come back far faster.
@@ -485,7 +499,7 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
         .journal(Arc::clone(&journal))
         .run()
         .expect("reference campaign runs");
-    let resume_wall = time_best_of(iters, || {
+    let resume_wall = time_best_of(pairs, || {
         let resumed = Campaign::new(spec())
             .workers(workers)
             .resume(Arc::clone(&journal))
@@ -500,9 +514,11 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
         resumed
     });
 
-    let overhead = journaled_wall.as_secs_f64() / plain_wall.as_secs_f64();
     print_table(
-        &format!("campaign resume, {items} items x {seconds}s (best of {iters})"),
+        &format!(
+            "campaign resume, {items} items x {seconds}s \
+             (median of {pairs} interleaved pairs; resumed: best of {pairs})"
+        ),
         &["path", "wall", "vs plain"],
         &[
             vec![
@@ -513,7 +529,7 @@ fn bench_campaign_resume(rows: &mut Vec<BenchRow>, quick: bool) {
             vec![
                 "journaled".to_string(),
                 format!("{:.1}ms", journaled_wall.as_secs_f64() * 1e3),
-                format!("{overhead:.3}x"),
+                format!("{overhead:.3}x ±{:.3}", timed.spread),
             ],
             vec![
                 "resumed".to_string(),
@@ -560,7 +576,7 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
     use gecko_serve::{http_call, ServeConfig, Server};
 
     let seconds = if quick { 0.05 } else { 0.2 };
-    let iters = if quick { 3 } else { 5 };
+    let pairs = if quick { 15 } else { 21 };
     let spec = CampaignSpec::new("bench_serve")
         .apps(["blink", "crc16"])
         .schemes([SchemeKind::Nvp, SchemeKind::Gecko])
@@ -571,7 +587,6 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
 
     let direct = Campaign::new(spec.clone()).workers(workers);
     let reference = direct.run().expect("direct campaign runs");
-    let direct_wall = time_best_of(iters, || direct.run().expect("direct campaign runs"));
 
     let data = std::env::temp_dir().join(format!("gecko-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&data);
@@ -584,7 +599,7 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
     let addr = server.addr().to_string();
     let body = format!("{{\"spec\":{},\"workers\":{workers}}}", spec_to_json(&spec));
 
-    let served_wall = time_best_of(iters, || {
+    let serve = || {
         let resp = http_call(&addr, "POST", "/v1/campaigns", &body).expect("submit");
         assert_eq!(resp.status, 201, "submit failed: {}", resp.body);
         let id = Json::parse(&resp.body)
@@ -609,13 +624,17 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
                 other => panic!("job {id} landed in {other:?}: {}", resp.body),
             }
         }
-    });
+    };
+    let timed = time_interleaved(pairs, || direct.run().expect("direct campaign runs"), serve);
+    let (direct_wall, served_wall, overhead) = (timed.a, timed.b, timed.ratio);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&data);
 
-    let overhead = served_wall.as_secs_f64() / direct_wall.as_secs_f64();
     print_table(
-        &format!("serve submit→complete, {items} items x {seconds}s (best of {iters})"),
+        &format!(
+            "serve submit→complete, {items} items x {seconds}s \
+             (median of {pairs} interleaved pairs)"
+        ),
         &["path", "wall", "vs direct"],
         &[
             vec![
@@ -626,7 +645,7 @@ fn bench_serve_submit(rows: &mut Vec<BenchRow>, quick: bool) {
             vec![
                 "served".to_string(),
                 format!("{:.1}ms", served_wall.as_secs_f64() * 1e3),
-                format!("{overhead:.3}x"),
+                format!("{overhead:.3}x ±{:.3}", timed.spread),
             ],
         ],
     );

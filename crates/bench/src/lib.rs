@@ -18,7 +18,7 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gecko_sim::experiments::Fidelity;
 use gecko_sim::report::{write_json_string, Value};
@@ -126,16 +126,81 @@ pub fn save_json_summary(name: &str, rows: &[SummaryRow]) {
 /// reports the best per-iteration time — the dependency-free stand-in for
 /// a statistical micro-benchmark harness (min-of-N is robust to scheduler
 /// noise for CPU-bound closures).
-pub fn time_best_of<T>(iters: u32, mut f: impl FnMut() -> T) -> std::time::Duration {
+pub fn time_best_of<T>(iters: u32, mut f: impl FnMut() -> T) -> Duration {
     assert!(iters > 0);
     std::hint::black_box(f());
-    let mut best = std::time::Duration::MAX;
+    let mut best = Duration::MAX;
     for _ in 0..iters {
         let t0 = Instant::now();
         std::hint::black_box(f());
         best = best.min(t0.elapsed());
     }
     best
+}
+
+/// The outcome of an interleaved A/B timing ([`time_interleaved`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Interleaved {
+    /// Median wall time of A.
+    pub a: Duration,
+    /// Median wall time of B.
+    pub b: Duration,
+    /// Median of the per-pair ratios B/A — the number a gate bounds.
+    pub ratio: f64,
+    /// Interquartile range of the per-pair ratios: how much the ratio
+    /// moved from pair to pair.
+    pub spread: f64,
+}
+
+/// Times `a` and `b` interleaved — A, B, A, B, … — for `pairs` pairs
+/// after one warm-up call of each, and reports the median per-pair ratio
+/// B/A with its spread. The two runs of a pair are adjacent in time, so
+/// load that drifts over the measurement (neighbouring processes,
+/// frequency scaling) moves both sides together and cancels in the
+/// ratio, and the median discards the few pairs a one-off stall landed
+/// on. Best-of-N timing of A and B in separate batches has neither
+/// property: on a shared 2-core host it let a 10% gate fail in most runs.
+pub fn time_interleaved<A, B>(
+    pairs: u32,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> Interleaved {
+    assert!(pairs > 0);
+    std::hint::black_box(a());
+    std::hint::black_box(b());
+    let mut a_ns = Vec::with_capacity(pairs as usize);
+    let mut b_ns = Vec::with_capacity(pairs as usize);
+    for _ in 0..pairs {
+        let t0 = Instant::now();
+        std::hint::black_box(a());
+        a_ns.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        std::hint::black_box(b());
+        b_ns.push(t0.elapsed().as_secs_f64());
+    }
+    let mut ratios: Vec<f64> = a_ns.iter().zip(&b_ns).map(|(a, b)| b / a).collect();
+    let (ratio, spread) = median_and_iqr(&mut ratios);
+    Interleaved {
+        a: Duration::from_secs_f64(median_and_iqr(&mut a_ns).0),
+        b: Duration::from_secs_f64(median_and_iqr(&mut b_ns).0),
+        ratio,
+        spread,
+    }
+}
+
+/// The median and the interquartile range (nearest-rank quartiles) of
+/// `samples`, which it sorts.
+fn median_and_iqr(samples: &mut [f64]) -> (f64, f64) {
+    assert!(!samples.is_empty());
+    samples.sort_by(f64::total_cmp);
+    let n = samples.len();
+    let median = if n % 2 == 1 {
+        samples[n / 2]
+    } else {
+        (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+    };
+    let quartile = |q: usize| samples[((q * n).div_ceil(4)).clamp(1, n) - 1];
+    (median, quartile(3) - quartile(1))
 }
 
 /// Renders a fixed-width table: a header row and data rows.
@@ -250,6 +315,26 @@ mod tests {
             doc.get("rows").and_then(|r| r.as_arr()).map(<[_]>::len),
             Some(2)
         );
+    }
+
+    #[test]
+    fn median_and_iqr_use_nearest_rank_quartiles() {
+        let mut odd = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(median_and_iqr(&mut odd), (3.0, 2.0));
+        let mut even = [0.9, 1.3, 1.0, 1.1];
+        let (median, iqr) = median_and_iqr(&mut even);
+        assert!((median - 1.05).abs() < 1e-12);
+        assert!((iqr - 0.2).abs() < 1e-12);
+        assert_eq!(median_and_iqr(&mut [1.5]), (1.5, 0.0));
+    }
+
+    #[test]
+    fn interleaved_timing_reports_a_positive_ratio() {
+        let work = |n: u64| (0..n).map(std::hint::black_box).sum::<u64>();
+        let t = time_interleaved(5, || work(1_000), || work(1_000));
+        assert!(t.ratio > 0.0 && t.ratio.is_finite());
+        assert!(t.spread >= 0.0);
+        assert!(t.a.as_nanos() > 0 && t.b.as_nanos() > 0);
     }
 
     #[test]

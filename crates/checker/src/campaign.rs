@@ -5,36 +5,39 @@
 //! Determinism is structural, mirroring `gecko_fleet::campaign`:
 //!
 //! * Work items are **fixed-size window chunks** derived only from the
-//!   spec (never from the worker count), claimed from an atomic cursor.
+//!   spec (never from the worker count), claimed through the fleet's
+//!   work-stealing frontier with one contiguous lease range per pair.
 //! * Each chunk carries its **own memo table**, so memo-hit counters do
 //!   not depend on which worker explored a neighboring chunk.
 //! * Per-chunk results are merged **in item order** after the pool joins;
 //!   shrinking runs after the merge, on the first violation per pair.
 //!
-//! The pool itself is `gecko_fleet`'s supervised pool: a chunk that
-//! panics is quarantined into a structured [`RunFailure`] instead of
-//! killing the campaign, budgets and bounded retry apply per chunk, and a
-//! [`Journal`] of completed chunks lets a killed campaign resume
-//! bit-exactly. Checker journal lines use their own vocabulary
-//! (`chunk_done`) on top of the fleet's line format; a journaled
-//! violation stores only its schedule and outcome — the
+//! A check is a [`gecko_fleet::WorkUnit`] run by the fleet's campaign
+//! driver ([`gecko_fleet::drive`]): a chunk that panics is quarantined
+//! into a structured [`RunFailure`] instead of killing the campaign,
+//! budgets and bounded retry apply per chunk, and a
+//! [`Journal`](gecko_fleet::Journal) of completed chunks lets a killed
+//! campaign resume bit-exactly. Checker journal lines use their own
+//! vocabulary (`chunk_done`) on top of the fleet's line format; a
+//! journaled violation stores only its schedule and outcome — the
 //! [`Blame`](crate::verdict::Blame) context is rebuilt on resume by
 //! [`crate::shrink::replay`], which is deterministic.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{fingerprint_program, CompileError, CompileOptions, ProgramFingerprints};
-use gecko_fleet::journal::{decode_header, encode_header};
-use gecko_fleet::Json;
+use gecko_fleet::journal::{classify_records, records};
 use gecko_fleet::{
-    quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, Event, FleetCounters, Frontier,
-    Journal, NullSink, PoolConfig, ProgramCache, RunFailure, SupervisorSpec, TelemetrySink,
+    drive, lock_unpoisoned, quarantine, supervision_summary, AttemptFail, DriverConfig, Event,
+    FleetCounters, Json, ProgramCache, RunBudget, RunFailure, SupervisorSpec, TelemetrySink,
+    WorkUnit,
 };
+use gecko_isa::Fnv1a;
 use gecko_sim::device::CompiledApp;
 use gecko_sim::report::json_kv;
 use gecko_sim::{SchemeKind, Simulator, Value};
@@ -144,33 +147,32 @@ impl CheckSpec {
     /// compile options, and the shrink policy.
     fn fingerprint(&self, run_keys: &[u64]) -> u64 {
         let e = &self.explore;
-        let mut h = FNV_OFFSET;
-        h = fnv_str(h, &self.name);
-        h = fnv_u64(h, run_keys.len() as u64);
+        let mut h = Fnv1a::new();
+        h.str(&self.name).u64(run_keys.len() as u64);
         for &key in run_keys {
-            h = fnv_u64(h, key);
+            h.u64(key);
         }
-        h = fnv_u64(h, e.depth as u64);
-        h = fnv_u64(h, e.power_failure_windows as u64);
-        h = fnv_u64(h, e.emi_windows as u64);
-        h = fnv_u64(h, e.fault_windows as u64);
-        h = fnv_u64(h, e.refail_horizon);
-        h = fnv_u64(h, e.memoize as u64);
-        h = fnv_u64(h, e.max_windows.unwrap_or(u64::MAX));
-        h = fnv_u64(h, e.seed);
-        h = fnv_u64(h, e.fast_forward as u64);
-        h = fnv_u64(h, self.compile.wcet_budget_cycles.unwrap_or(u64::MAX));
-        h = fnv_u64(h, self.compile.prune as u64);
-        h = fnv_u64(h, self.compile.max_slice_insts as u64);
-        // Fingerprint the *effective* chunk size: the run loop clamps a
-        // raw 0 (possible via the pub field) to 1, so two specs that
-        // differ only in 0-vs-1 chunk the grid identically and must hash
-        // identically — otherwise a resume journal written by one would
-        // be spuriously dropped by the other.
-        h = fnv_u64(h, self.chunk_windows.max(1));
-        h = fnv_u64(h, self.shrink as u64);
-        h = fnv_u64(h, self.shrink_budget);
-        h
+        h.u64(e.depth as u64)
+            .u64(e.power_failure_windows as u64)
+            .u64(e.emi_windows as u64)
+            .u64(e.fault_windows as u64)
+            .u64(e.refail_horizon)
+            .u64(e.memoize as u64)
+            .u64(e.max_windows.unwrap_or(u64::MAX))
+            .u64(e.seed)
+            .u64(e.fast_forward as u64)
+            .u64(self.compile.wcet_budget_cycles.unwrap_or(u64::MAX))
+            .u64(self.compile.prune as u64)
+            .u64(self.compile.max_slice_insts as u64)
+            // Fingerprint the *effective* chunk size: the run loop clamps
+            // a raw 0 (possible via the pub field) to 1, so two specs that
+            // differ only in 0-vs-1 chunk the grid identically and must
+            // hash identically — otherwise a resume journal written by one
+            // would be spuriously dropped by the other.
+            .u64(self.chunk_windows.max(1))
+            .u64(self.shrink as u64)
+            .u64(self.shrink_budget)
+            .finish()
     }
 }
 
@@ -287,34 +289,16 @@ pub fn check_app(
 // Chunk identity + journal codec
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-pub(crate) fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-pub(crate) fn fnv_str(mut h: u64, s: &str) -> u64 {
-    h = fnv_u64(h, s.len() as u64);
-    for byte in s.bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Stable identity of one chunk: content-addressed by (app, scheme,
 /// window range), so it survives spec reordering-neutral edits and keys
 /// the chaos/backoff/journal streams.
 fn chunk_run_key(app: &str, scheme: SchemeKind, start: u64, end: u64) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv_str(h, app);
-    h = fnv_str(h, scheme.name());
-    h = fnv_u64(h, start);
-    h = fnv_u64(h, end);
-    h
+    Fnv1a::new()
+        .str(app)
+        .str(scheme.name())
+        .u64(start)
+        .u64(end)
+        .finish()
 }
 
 /// Journal line kind for one completed checker chunk (the checker's
@@ -611,38 +595,25 @@ fn decode_chunk_fields(rec: &Json) -> Result<(u64, JournaledChunk), ChunkLineErr
     ))
 }
 
-/// A decoded checker journal: header (if any), completed chunks keyed by
-/// run key, and one diagnostic per chunk line that failed to decode.
-type DecodedJournal = (
-    Option<(String, u64)>,
-    HashMap<u64, JournaledChunk>,
-    Vec<JournalDiagnostic>,
-);
-
-/// Replays a checker journal: header (if any) plus completed chunks keyed
-/// by run key, plus one diagnostic per chunk line that failed to decode.
-/// Unparseable non-chunk lines are skipped; later duplicates win.
-fn decode_chunks(lines: &[String]) -> DecodedJournal {
-    let mut header = None;
+/// Replays a checker journal's records (see [`records`]):
+/// completed chunks keyed by run key, plus one diagnostic per chunk line
+/// that failed to decode. Non-chunk records are skipped; later duplicates
+/// win.
+fn decode_chunks(
+    records: impl Iterator<Item = (usize, Json)>,
+) -> (HashMap<u64, JournaledChunk>, Vec<JournalDiagnostic>) {
     let mut chunks = HashMap::new();
     let mut diagnostics = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if let Some(h) = decode_header(line) {
-            header.get_or_insert(h);
-            continue;
-        }
-        let Some(rec) = Json::parse_record(line) else {
-            continue;
-        };
+    for (line, rec) in records {
         match decode_chunk_line(&rec) {
             Some(Ok((run_key, chunk))) => {
                 chunks.insert(run_key, chunk);
             }
-            Some(Err(error)) => diagnostics.push(JournalDiagnostic::from_error(i, &error)),
+            Some(Err(error)) => diagnostics.push(JournalDiagnostic::from_error(line, &error)),
             None => {}
         }
     }
-    (header, chunks, diagnostics)
+    (chunks, diagnostics)
 }
 
 /// Scans a checker journal and returns one diagnostic per `chunk_done`
@@ -651,7 +622,7 @@ fn decode_chunks(lines: &[String]) -> DecodedJournal {
 /// vocabulary — are reported here (and re-explored on resume) rather
 /// than silently dropped.
 pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
-    decode_chunks(lines).2
+    decode_chunks(records(lines)).1
 }
 
 /// Classifies a checker journal for [`gecko_store::LogCompactor`]: marks
@@ -663,38 +634,22 @@ pub fn check_journal_diagnostics(lines: &[String]) -> Vec<JournalDiagnostic> {
 /// lines carrying *unknown tags* (a newer writer's records): pruning
 /// those would destroy data a newer binary could still resume from.
 pub fn classify_check_lines(lines: &[String]) -> Vec<Verdict> {
-    let mut verdicts = vec![Verdict::Keep; lines.len()];
-    let mut saw_header = false;
     // Latest decodable chunk_done line per run key wins; all earlier
     // ones are dead weight the decoder would overwrite anyway.
     let mut last_chunk: HashMap<u64, usize> = HashMap::new();
-    for (i, line) in lines.iter().enumerate() {
-        if decode_header(line).is_some() {
-            if saw_header {
-                verdicts[i] = Verdict::Delete; // decode keeps the first
+    classify_records(lines, |i, rec, verdicts| match decode_chunk_line(rec) {
+        Some(Ok((run_key, _))) => {
+            if let Some(prev) = last_chunk.insert(run_key, i) {
+                verdicts[prev] = Verdict::Delete;
             }
-            saw_header = true;
-            continue;
         }
-        let Some(rec) = Json::parse_record(line) else {
-            verdicts[i] = Verdict::Delete; // garbage: decoder skips it
-            continue;
-        };
-        match decode_chunk_line(&rec) {
-            Some(Ok((run_key, _))) => {
-                if let Some(prev) = last_chunk.insert(run_key, i) {
-                    verdicts[prev] = Verdict::Delete;
-                }
-            }
-            // Structurally broken: invisible to every decoder.
-            Some(Err(ChunkLineError::Malformed { .. })) => verdicts[i] = Verdict::Delete,
-            // Unknown vocabulary: forward-compatible data, keep it.
-            Some(Err(ChunkLineError::UnknownTag { .. })) => {}
-            // Not a chunk record: a foreign writer's line, keep it.
-            None => {}
-        }
-    }
-    verdicts
+        // Structurally broken: invisible to every decoder.
+        Some(Err(ChunkLineError::Malformed { .. })) => verdicts[i] = Verdict::Delete,
+        // Unknown vocabulary: forward-compatible data, keep it.
+        Some(Err(ChunkLineError::UnknownTag { .. })) => {}
+        // Not a chunk record: a foreign writer's line, keep it.
+        None => {}
+    })
 }
 
 /// One claimable unit of checker work: a window chunk of one pair.
@@ -706,17 +661,14 @@ struct WorkItem {
 }
 
 /// A runnable checker campaign: spec + workers + telemetry sink +
-/// supervision policy.
+/// supervision policy. The checker enforces a `SupervisorSpec` step
+/// budget post hoc — an exploration is not sliceable the way a metrics
+/// run is — so `max_steps` flags runaway chunks after the fact; by
+/// default chunks have no step cap.
 pub struct CheckCampaign {
     spec: CheckSpec,
-    workers: usize,
-    sink: Arc<dyn TelemetrySink>,
-    sup: SupervisorSpec,
-    journal: Option<Arc<Journal>>,
+    driver: DriverConfig,
     memo: Option<Arc<MemoStore>>,
-    steal_bias: u64,
-    halt_after: Option<u64>,
-    kill_switch: Option<Arc<std::sync::atomic::AtomicBool>>,
 }
 
 impl CheckCampaign {
@@ -724,100 +676,20 @@ impl CheckCampaign {
     pub fn new(spec: CheckSpec) -> CheckCampaign {
         CheckCampaign {
             spec,
-            workers: 1,
-            sink: Arc::new(NullSink),
-            sup: SupervisorSpec::default(),
-            journal: None,
+            driver: DriverConfig::default(),
             memo: None,
-            steal_bias: 500,
-            halt_after: None,
-            kill_switch: None,
         }
     }
 
-    /// Sets the worker-thread count (builder style; clamped to ≥ 1).
-    /// Results are bit-identical for any value.
-    pub fn workers(mut self, workers: usize) -> CheckCampaign {
-        self.workers = workers.max(1);
-        self
-    }
+    gecko_fleet::driver_builders!();
 
-    /// Attaches a telemetry sink (builder style).
-    pub fn sink(mut self, sink: Arc<dyn TelemetrySink>) -> CheckCampaign {
-        self.sink = sink;
-        self
-    }
-
-    /// Replaces the supervision policy (builder style). Note that the
-    /// checker enforces the *step* budget post hoc — an exploration is
-    /// not sliceable the way a metrics run is — so `max_steps` flags
-    /// runaway chunks after the fact rather than interrupting them; by
-    /// default chunks have no step cap (exploration work is structurally
-    /// bounded per fork by the explore budget).
-    pub fn supervisor(mut self, sup: SupervisorSpec) -> CheckCampaign {
-        self.sup = sup;
-        self
-    }
-
-    /// Sets the chaos-injection policy (builder style), keeping the rest
-    /// of the supervision policy.
-    pub fn chaos(mut self, chaos: ChaosSpec) -> CheckCampaign {
-        self.sup.chaos = chaos;
-        self
-    }
-
-    /// Attaches a journal (builder style): completed chunks are appended
-    /// as they finish, and chunks already present are skipped on [`run`]
-    /// (their violations' blame context is rebuilt by deterministic
-    /// replay).
-    ///
-    /// [`run`]: CheckCampaign::run
-    pub fn journal(mut self, journal: Arc<Journal>) -> CheckCampaign {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Alias for [`CheckCampaign::journal`], reading as intent.
-    pub fn resume(self, journal: Arc<Journal>) -> CheckCampaign {
-        self.journal(journal)
-    }
-
-    /// Attaches a durable memo store (builder style): every chunk's
-    /// logical-state memo table and completion frontier persist through
-    /// [`MemoStore`] as the chunk explores, and a later campaign over the
-    /// same spec answers complete chunks from disk, resumes partial ones
-    /// mid-chunk, and re-explores only chunks whose blamed compiled
-    /// regions changed (DESIGN.md §17). Results are bit-identical with
-    /// and without a store, cold or warm.
+    /// Attaches a durable memo store (builder style): chunk verdicts and
+    /// memo tables persist as chunks explore, and a later campaign over
+    /// the same spec answers complete chunks from disk, resumes partial
+    /// ones mid-chunk, and re-explores only chunks whose blamed regions
+    /// changed (DESIGN.md §17). Results are bit-identical either way.
     pub fn memo(mut self, memo: Arc<MemoStore>) -> CheckCampaign {
         self.memo = Some(memo);
-        self
-    }
-
-    /// Sets the work-stealing split bias in permille — the fraction of a
-    /// stolen lease its victim keeps (builder style; clamped to ≤ 999,
-    /// default 500 = halving). Pure scheduling: results are bit-identical
-    /// for any value.
-    pub fn steal_bias(mut self, permille: u64) -> CheckCampaign {
-        self.steal_bias = permille;
-        self
-    }
-
-    /// Claims at most `n` chunks this session, then stops (builder style)
-    /// — the deterministic kill switch the resume tests use. The budget is
-    /// charged at claim time, so `n` chunks run at any worker count.
-    pub fn halt_after(mut self, n: u64) -> CheckCampaign {
-        self.halt_after = Some(n);
-        self
-    }
-
-    /// Attaches a cooperative kill switch (builder style), mirroring
-    /// `gecko_fleet::Campaign::kill_switch`: when the flag flips true,
-    /// workers finish the window chunk they are exploring, journal it,
-    /// and stop claiming new chunks (`halted` in the report). A journaled
-    /// check campaign then resumes bit-exactly.
-    pub fn kill_switch(mut self, stop: Arc<std::sync::atomic::AtomicBool>) -> CheckCampaign {
-        self.kill_switch = Some(stop);
         self
     }
 
@@ -827,8 +699,9 @@ impl CheckCampaign {
     }
 
     /// Executes the campaign: compile and measure golden traces (in pair
-    /// order), fan window chunks out across the supervised pool, merge in
-    /// item order, then shrink each failing pair's first violation.
+    /// order), hand the window chunks to the campaign driver (journal and
+    /// memo restore, supervised fan-out, item-order merge), then shrink
+    /// each failing pair's first violation.
     ///
     /// A chunk that panics (or blows its budget, or keeps failing
     /// transiently) is quarantined into [`CheckReport::failures`]; every
@@ -849,11 +722,6 @@ impl CheckCampaign {
         let cache = ProgramCache::new();
 
         // Phase 1 (sequential, pair order): compile + golden trace.
-        struct Pair {
-            compiled: Arc<CompiledApp>,
-            golden: u64,
-            windows: u64,
-        }
         let mut pairs = Vec::with_capacity(spec.apps.len() * spec.schemes.len());
         for app in &spec.apps {
             for &scheme in &spec.schemes {
@@ -906,18 +774,6 @@ impl CheckCampaign {
             }
         }
 
-        let workers = self.workers.min(items.len()).max(1);
-        let chaos = self.sup.chaos;
-        let sink: Arc<dyn TelemetrySink> = if chaos.sink_fail_per_mille > 0 {
-            Arc::new(ChaosSink::new(
-                Arc::clone(&self.sink),
-                chaos.seed,
-                chaos.sink_fail_per_mille,
-            ))
-        } else {
-            Arc::clone(&self.sink)
-        };
-
         let run_keys: Vec<u64> = items
             .iter()
             .map(|item| {
@@ -941,264 +797,31 @@ impl CheckCampaign {
         };
         let memo_generation = self.memo.as_ref().map(|m| m.begin(&spec.name, fingerprint));
 
-        // Restore completed chunks from the journal (and stamp the header
-        // on a fresh one). A journaled violation carries no blame — that
-        // is rebuilt here by replaying its schedule, and the chunk is
-        // rejected (re-run) if the replay disagrees with the journal.
-        let mut skip = vec![false; items.len()];
-        let mut restored: Vec<Option<(CheckStats, Vec<Violation>)>> = Vec::new();
-        restored.resize_with(items.len(), || None);
-        let mut journal_diagnostics = 0u64;
-        if let Some(journal) = &self.journal {
-            let (header, chunks, diagnostics) = decode_chunks(&journal.lines());
-            journal_diagnostics = diagnostics.len() as u64;
-            // Surface undecodable chunk lines instead of silently
-            // re-exploring them: an unknown tag means the journal was
-            // written by a different (likely newer) vocabulary.
-            for d in &diagnostics {
-                sink.emit(Event::new(
-                    "journal_line_undecodable",
-                    vec![
-                        ("line", Value::U64(d.line as u64)),
-                        ("path", Value::Str(d.path.clone())),
-                        ("message", Value::Str(d.message.clone())),
-                    ],
-                ));
-            }
-            match header {
-                Some((name, fp)) if fp != fingerprint => {
-                    return Err(CheckError::Journal(format!(
-                        "journal belongs to check {name:?} (fingerprint {fp:#018x}), \
-                         not this spec (fingerprint {fingerprint:#018x})"
-                    )));
-                }
-                Some(_) => {}
-                None => journal.append(&encode_header(&spec.name, fingerprint)),
-            }
-            for (i, key) in run_keys.iter().enumerate() {
-                let Some(chunk) = chunks.get(key) else {
-                    continue;
-                };
-                if chunk.item != i {
-                    continue;
-                }
-                let p = &pairs[items[i].pair];
-                let mut violations = Vec::with_capacity(chunk.violations.len());
-                let mut consistent = true;
-                for jv in &chunk.violations {
-                    let (outcome, blame) =
-                        replay(&p.compiled, &spec.explore, &jv.schedule, p.golden);
-                    if outcome != jv.outcome {
-                        consistent = false;
-                        break;
-                    }
-                    violations.push(Violation {
-                        window: jv.window,
-                        schedule: jv.schedule.clone(),
-                        outcome,
-                        blame,
-                    });
-                }
-                if consistent {
-                    skip[i] = true;
-                    restored[i] = Some((chunk.stats, violations));
-                }
-            }
-        }
-
-        // Memo restore pass (after the journal's — this campaign's own
-        // completed chunks win). A complete slab answers the whole chunk
-        // from disk; a partial slab becomes a [`SlabPrefix`] and the
-        // chunk resumes mid-slab. Violations are replay-validated exactly
-        // like journaled ones before anything is trusted.
-        let mut prefixes: Vec<Mutex<Option<SlabPrefix>>> = Vec::new();
+        let mut prefixes = Vec::new();
         prefixes.resize_with(items.len(), Default::default);
-        let mut memo_windows = 0u64;
-        if let Some(memo) = &self.memo {
-            for (i, key) in run_keys.iter().enumerate() {
-                if skip[i] {
-                    continue;
-                }
-                let item = items[i];
-                let p = &pairs[item.pair];
-                let Some(slab) = memo.restore(*key, p.golden, &fps[item.pair]) else {
-                    continue;
-                };
-                let mut violations = Vec::with_capacity(slab.violations.len());
-                let mut consistent = true;
-                for jv in &slab.violations {
-                    let (outcome, blame) =
-                        replay(&p.compiled, &spec.explore, &jv.schedule, p.golden);
-                    if outcome != jv.outcome {
-                        consistent = false;
-                        break;
-                    }
-                    violations.push(Violation {
-                        window: jv.window,
-                        schedule: jv.schedule.clone(),
-                        outcome,
-                        blame,
-                    });
-                }
-                if !consistent {
-                    continue;
-                }
-                memo_windows += slab.done;
-                if slab.done >= slab.total {
-                    skip[i] = true;
-                    restored[i] = Some((slab.stats, violations));
-                } else {
-                    *prefixes[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(SlabPrefix {
-                        windows_done: slab.done,
-                        stats: slab.stats,
-                        violations,
-                        regions: slab.regions,
-                        memo: slab.memo,
-                    });
-                }
-            }
-        }
-        let resumed = skip.iter().filter(|&&s| s).count() as u64;
-
-        sink.emit(Event::new(
-            "check_started",
-            vec![
-                ("campaign", Value::Str(spec.name.clone())),
-                ("pairs", Value::U64(pairs.len() as u64)),
-                ("items", Value::U64(items.len() as u64)),
-                ("workers", Value::U64(workers as u64)),
-                ("resumed", Value::U64(resumed)),
-            ],
-        ));
-
-        // The step budget is enforced post hoc (see
-        // [`CheckCampaign::supervisor`]); unset means uncapped, not the
-        // fleet's workload-derived default.
-        let mut budget = self.sup.resolve_budget(0.0);
-        budget.max_steps = self.sup.max_steps.unwrap_or(u64::MAX);
-
-        // Work-stealing frontier: one contiguous index range per pair, so
-        // a worker's lease is a run of adjacent chunks (the simulator-
-        // carry fast path) and it steals across pairs only when its own
-        // run dries up. Skipped (restored) indices stay inside the ranges
-        // — the pool accounts for them without re-running anything.
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut prev_pair = usize::MAX;
-        for (i, item) in items.iter().enumerate() {
-            if item.pair == prev_pair {
-                ranges.last_mut().expect("non-empty on repeat pair").1 = i + 1;
-            } else {
-                ranges.push((i, i + 1));
-                prev_pair = item.pair;
-            }
-        }
-        let frontier = Frontier::new(&ranges, workers).with_bias(self.steal_bias);
-
-        let pool_cfg = PoolConfig {
-            workers,
-            run_keys: &run_keys,
-            skip: &skip,
-            sup: &self.sup,
-            budget,
-            halt_after: self.halt_after.map(|n| n + resumed),
-            stop: self.kill_switch.as_deref(),
-            claim: Some(&frontier),
-            sink: &sink,
+        let mut chunks = Chunks {
+            spec,
+            pairs,
+            items,
+            run_keys,
+            fingerprint,
+            memo: self.memo.as_deref(),
+            fps,
+            prefixes,
+            journal_diagnostics: 0,
+            memo_windows: 0,
         };
-        let journal = self.journal.as_deref();
-        let pool = run_supervised(&pool_cfg, |i, attempt, budget, attempt_started| {
-            let item = items[i];
-            let p = &pairs[item.pair];
-            // A restored partial slab is taken (not cloned): a retry after
-            // a failed attempt re-explores from scratch, which is the
-            // uninterrupted run by definition.
-            let prefix = prefixes[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-            let prefix_done = prefix.as_ref().map_or(0, |pre| pre.windows_done);
-            // Reuse this worker's parked simulator when it is positioned
-            // exactly on this chunk's first unchecked window (see
-            // `SIM_CARRY`); otherwise a fresh one re-advances.
-            let carry = SIM_CARRY.with(|c| match c.borrow_mut().take() {
-                Some((pair, pos, sim)) if pair == item.pair && pos == item.start + prefix_done => {
-                    Some(sim)
-                }
-                _ => None,
-            });
-            let (outcome, end_sim) = if let Some(memo) = &self.memo {
-                let mut writer = SlabWriter::new(
-                    memo,
-                    &fps[item.pair],
-                    run_keys[i],
-                    item.start,
-                    item.end,
-                    p.golden,
-                    prefix_done,
-                );
-                let out = check_windows_resumed(
-                    &p.compiled,
-                    &spec.explore,
-                    item.start,
-                    item.end,
-                    p.golden,
-                    carry,
-                    prefix,
-                    &mut writer,
-                );
-                writer.finish(&out.0);
-                out
-            } else {
-                check_windows_resumed(
-                    &p.compiled,
-                    &spec.explore,
-                    item.start,
-                    item.end,
-                    p.golden,
-                    carry,
-                    prefix,
-                    &mut NullObserver,
-                )
-            };
-            let stats = outcome.stats;
-            let violations = outcome.violations;
-            if stats.steps > budget.max_steps {
-                return Err(AttemptFail::TimedOut {
-                    steps: stats.steps,
-                    wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
-                    partial: None,
-                });
-            }
-            if let Some(journal) = journal {
-                journal.append(&encode_chunk(run_keys[i], i, &stats, &violations));
-            }
-            // Park the end-positioned simulator for the adjacent chunk.
-            SIM_CARRY.with(|c| *c.borrow_mut() = Some((item.pair, item.end, end_sim)));
-            sink.emit(Event::new(
-                "check_item_finished",
-                vec![
-                    ("item", Value::U64(i as u64)),
-                    ("attempt", Value::U64(attempt as u64)),
-                    ("app", Value::Str(p.compiled.app.name.to_string())),
-                    ("scheme", Value::Str(p.compiled.scheme.name().to_string())),
-                    ("windows", Value::U64(stats.windows)),
-                    ("violations", Value::U64(stats.violations)),
-                ],
-            ));
-            Ok((stats, violations))
-        });
-        // Checkpoint boundary: every chunk journaled by the pool is
-        // forced to stable storage before the report claims it happened.
-        // Per-chunk appends stay fsync-free to keep the hot path cheap.
-        if let Some(journal) = journal {
-            journal.sync();
-        }
-        // Same boundary for the memo store: records appended by the pool
-        // are durable before the report (or a pruner) can see them.
+        let mut run = drive(&self.driver, &mut chunks)?;
+        // Same checkpoint boundary as the journal's: records appended by
+        // the pool are durable before the report (or a pruner) sees them.
         if let Some(memo) = &self.memo {
             memo.sync();
         }
 
         // Deterministic merge, in item order (chunks of a pair are in
         // window order, so each pair's violations come out sorted).
-        // Quarantined chunks land in `failures` instead of their pair.
+        // Quarantined chunks are in `run.failures` instead of their pair.
+        let pairs = &chunks.pairs;
         let mut results: Vec<PairReport> = pairs
             .iter()
             .map(|p| PairReport {
@@ -1211,21 +834,10 @@ impl CheckCampaign {
                 counterexample: None,
             })
             .collect();
-        let mut failures = Vec::new();
-        for (i, (item, slot)) in items.iter().zip(pool.outcomes).enumerate() {
-            if skip[i] {
-                let (stats, violations) = restored[i].take().expect("restored above");
+        for (item, output) in chunks.items.iter().zip(run.outputs.drain(..)) {
+            if let Some((stats, violations)) = output {
                 results[item.pair].stats.absorb(&stats);
                 results[item.pair].violations.extend(violations);
-                continue;
-            }
-            match slot {
-                None => debug_assert!(pool.halted, "item {i} unclaimed without a halt"),
-                Some(gecko_fleet::ItemOutcome::Done((stats, violations))) => {
-                    results[item.pair].stats.absorb(&stats);
-                    results[item.pair].violations.extend(violations);
-                }
-                Some(gecko_fleet::ItemOutcome::Failed(f)) => failures.push(f),
             }
         }
 
@@ -1249,7 +861,7 @@ impl CheckCampaign {
                 });
                 match shrunk {
                     Ok(counterexample) => report.counterexample = Some(counterexample),
-                    Err(payload) => failures.push(RunFailure::Panicked {
+                    Err(payload) => run.failures.push(RunFailure::Panicked {
                         run_key: chunk_run_key(&report.app, report.scheme, u64::MAX, u64::MAX),
                         item: pair,
                         payload: format!("shrink panicked: {payload}"),
@@ -1258,44 +870,24 @@ impl CheckCampaign {
             }
         }
 
-        let dropped_records =
-            sink.dropped_records() + self.journal.as_ref().map_or(0, |j| j.dropped());
-        if dropped_records > 0 {
-            sink.emit(Event::new(
-                "sink_dropped",
-                vec![("dropped", Value::U64(dropped_records))],
-            ));
-            failures.push(RunFailure::SinkDropped {
-                dropped: dropped_records,
-            });
-        }
-
         let mut totals = CheckStats::default();
         for r in &results {
             totals.absorb(&r.stats);
         }
         let counters = FleetCounters {
-            items: items.len() as u64,
+            items: chunks.items.len() as u64,
             compile_misses: cache.misses(),
             compile_hits: cache.hits(),
             forks: totals.forks,
             states_explored: totals.explored,
             memo_hits: totals.memo_hits,
             violations: totals.violations,
-            failures: failures
-                .iter()
-                .filter(|f| !matches!(f, RunFailure::SinkDropped { .. }))
-                .count() as u64,
-            retries: pool.retries,
-            resumed,
-            dropped_records,
-            journal_diagnostics,
-            memo_windows,
-            frontier_steals: frontier.steals(),
+            journal_diagnostics: chunks.journal_diagnostics,
+            memo_windows: chunks.memo_windows,
+            ..run.settle()
         };
         let wall_s = started.elapsed().as_secs_f64();
-
-        sink.emit(Event::new(
+        run.finish(Event::new(
             "check_finished",
             vec![
                 ("campaign", Value::Str(spec.name.clone())),
@@ -1305,24 +897,283 @@ impl CheckCampaign {
                 ("memo_hits", Value::U64(counters.memo_hits)),
                 ("violations", Value::U64(counters.violations)),
                 ("failures", Value::U64(counters.failures)),
-                ("resumed", Value::U64(resumed)),
-                ("halted", Value::Bool(pool.halted)),
+                ("resumed", Value::U64(counters.resumed)),
+                ("halted", Value::Bool(run.halted)),
                 ("wall_s", Value::F64(wall_s)),
             ],
         ));
-        sink.flush();
 
         Ok(CheckReport {
             name: spec.name.clone(),
-            workers,
+            workers: run.workers,
             results,
             totals,
             counters,
-            failures,
-            halted: pool.halted,
+            failures: run.failures,
+            halted: run.halted,
             memo_generation,
             wall_s,
         })
+    }
+}
+
+/// One compiled (app, scheme) pair and its golden trace.
+struct Pair {
+    compiled: Arc<CompiledApp>,
+    golden: u64,
+    windows: u64,
+}
+
+/// A check as the driver's work unit: one item per window chunk,
+/// journaled as `chunk_done` records and, with a memo store attached,
+/// persisted slab by slab as it explores.
+struct Chunks<'a> {
+    spec: &'a CheckSpec,
+    pairs: Vec<Pair>,
+    items: Vec<WorkItem>,
+    run_keys: Vec<u64>,
+    fingerprint: u64,
+    memo: Option<&'a MemoStore>,
+    /// Region fingerprints per pair (empty without a memo store).
+    fps: Vec<ProgramFingerprints>,
+    /// Restored partial slabs, taken by the chunk's first attempt.
+    prefixes: Vec<Mutex<Option<SlabPrefix>>>,
+    journal_diagnostics: u64,
+    memo_windows: u64,
+}
+
+impl Chunks<'_> {
+    /// Rebuilds the blame context of journaled or memoized violations by
+    /// deterministic replay; `None` when any replay disagrees with the
+    /// record, which is then distrusted and its chunk re-run.
+    fn replay_violations(
+        &self,
+        pair: usize,
+        journaled: &[JournaledViolation],
+    ) -> Option<Vec<Violation>> {
+        let p = &self.pairs[pair];
+        journaled
+            .iter()
+            .map(|jv| {
+                let (outcome, blame) =
+                    replay(&p.compiled, &self.spec.explore, &jv.schedule, p.golden);
+                (outcome == jv.outcome).then(|| Violation {
+                    window: jv.window,
+                    schedule: jv.schedule.clone(),
+                    outcome,
+                    blame,
+                })
+            })
+            .collect()
+    }
+}
+
+impl WorkUnit for Chunks<'_> {
+    type Output = (CheckStats, Vec<Violation>);
+    type Error = CheckError;
+    const KIND: &'static str = "check";
+
+    fn name(&self) -> &str {
+        &self.spec.name
+    }
+
+    fn run_keys(&self) -> &[u64] {
+        &self.run_keys
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    fn journal_error(message: String) -> CheckError {
+        CheckError::Journal(message)
+    }
+
+    /// The step budget is enforced post hoc (see [`CheckCampaign`]);
+    /// unset means uncapped, not the fleet's workload-derived default.
+    fn budget(&self, sup: &SupervisorSpec) -> RunBudget {
+        RunBudget {
+            max_steps: sup.max_steps.unwrap_or(u64::MAX),
+            ..sup.resolve_budget(0.0)
+        }
+    }
+
+    /// One contiguous range per pair, so a worker's lease is a run of
+    /// adjacent chunks (the simulator-carry fast path) and it steals
+    /// across pairs only when its own run dries up. Restored indices stay
+    /// inside the ranges; the pool skips them without re-running anything.
+    fn claim_ranges(&self) -> Option<Vec<(usize, usize)>> {
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        for (i, item) in self.items.iter().enumerate() {
+            match ranges.last_mut() {
+                Some(range) if self.items[range.0].pair == item.pair => range.1 = i + 1,
+                _ => ranges.push((i, i + 1)),
+            }
+        }
+        Some(ranges)
+    }
+
+    /// Journal chunks first, then the memo store for the rest (this
+    /// campaign's own completed chunks win). A complete slab answers the
+    /// whole chunk from disk; a partial one becomes a [`SlabPrefix`] and
+    /// the chunk resumes mid-slab. Every restored violation is
+    /// replay-validated before anything is trusted.
+    fn restore(
+        &mut self,
+        records: &mut dyn Iterator<Item = (usize, Json)>,
+        sink: &dyn TelemetrySink,
+    ) -> Vec<Option<Self::Output>> {
+        let (journaled, diagnostics) = decode_chunks(records);
+        self.journal_diagnostics = diagnostics.len() as u64;
+        // Surface undecodable chunk lines instead of silently
+        // re-exploring them: an unknown tag means the journal was
+        // written by a different (likely newer) vocabulary.
+        for d in &diagnostics {
+            sink.emit(Event::new(
+                "journal_line_undecodable",
+                vec![
+                    ("line", Value::U64(d.line as u64)),
+                    ("path", Value::Str(d.path.clone())),
+                    ("message", Value::Str(d.message.clone())),
+                ],
+            ));
+        }
+        let mut restored = Vec::with_capacity(self.items.len());
+        for (i, (item, key)) in self.items.iter().zip(&self.run_keys).enumerate() {
+            let from_journal =
+                journaled
+                    .get(key)
+                    .filter(|chunk| chunk.item == i)
+                    .and_then(|chunk| {
+                        let violations = self.replay_violations(item.pair, &chunk.violations)?;
+                        Some((chunk.stats, violations))
+                    });
+            if from_journal.is_some() {
+                restored.push(from_journal);
+                continue;
+            }
+            let from_memo = self.memo.and_then(|memo| {
+                let golden = self.pairs[item.pair].golden;
+                let slab = memo.restore(*key, golden, &self.fps[item.pair])?;
+                let violations = self.replay_violations(item.pair, &slab.violations)?;
+                Some((slab, violations))
+            });
+            restored.push(from_memo.and_then(|(slab, violations)| {
+                self.memo_windows += slab.done;
+                if slab.done >= slab.total {
+                    return Some((slab.stats, violations));
+                }
+                *self.prefixes[i]
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner) = Some(SlabPrefix {
+                    windows_done: slab.done,
+                    stats: slab.stats,
+                    violations,
+                    regions: slab.regions,
+                    memo: slab.memo,
+                });
+                None
+            }));
+        }
+        restored
+    }
+
+    fn started(&self) -> Event {
+        Event::new(
+            "check_started",
+            vec![
+                ("campaign", Value::Str(self.spec.name.clone())),
+                ("pairs", Value::U64(self.pairs.len() as u64)),
+                ("items", Value::U64(self.items.len() as u64)),
+            ],
+        )
+    }
+
+    fn attempt(
+        &self,
+        i: usize,
+        attempt: u32,
+        budget: &RunBudget,
+        attempt_started: Instant,
+        sink: &dyn TelemetrySink,
+    ) -> Result<Result<Self::Output, CheckError>, AttemptFail> {
+        let item = self.items[i];
+        let p = &self.pairs[item.pair];
+        let explore = &self.spec.explore;
+        // A restored partial slab is taken (not cloned): a retry after a
+        // failed attempt re-explores from scratch, which is the
+        // uninterrupted run by definition.
+        let prefix = lock_unpoisoned(&self.prefixes[i]).take();
+        let prefix_done = prefix.as_ref().map_or(0, |pre| pre.windows_done);
+        // Reuse this worker's parked simulator when it is positioned
+        // exactly on this chunk's first unchecked window (see
+        // `SIM_CARRY`); otherwise a fresh one re-advances.
+        let carry = SIM_CARRY.with(|c| match c.borrow_mut().take() {
+            Some((pair, pos, sim)) if pair == item.pair && pos == item.start + prefix_done => {
+                Some(sim)
+            }
+            _ => None,
+        });
+        let (outcome, end_sim) = if let Some(memo) = self.memo {
+            let mut writer = SlabWriter::new(
+                memo,
+                &self.fps[item.pair],
+                self.run_keys[i],
+                item.start,
+                item.end,
+                p.golden,
+                prefix_done,
+            );
+            let out = check_windows_resumed(
+                &p.compiled,
+                explore,
+                item.start,
+                item.end,
+                p.golden,
+                carry,
+                prefix,
+                &mut writer,
+            );
+            writer.finish(&out.0);
+            out
+        } else {
+            check_windows_resumed(
+                &p.compiled,
+                explore,
+                item.start,
+                item.end,
+                p.golden,
+                carry,
+                prefix,
+                &mut NullObserver,
+            )
+        };
+        let stats = outcome.stats;
+        if stats.steps > budget.max_steps {
+            return Err(AttemptFail::TimedOut {
+                steps: stats.steps,
+                wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
+                partial: None,
+            });
+        }
+        // Park the end-positioned simulator for the adjacent chunk.
+        SIM_CARRY.with(|c| *c.borrow_mut() = Some((item.pair, item.end, end_sim)));
+        sink.emit(Event::new(
+            "check_item_finished",
+            vec![
+                ("item", Value::U64(i as u64)),
+                ("attempt", Value::U64(attempt as u64)),
+                ("app", Value::Str(p.compiled.app.name.to_string())),
+                ("scheme", Value::Str(p.compiled.scheme.name().to_string())),
+                ("windows", Value::U64(stats.windows)),
+                ("violations", Value::U64(stats.violations)),
+            ],
+        ));
+        Ok(Ok((stats, outcome.violations)))
+    }
+
+    fn journal_lines(&self, i: usize, (stats, violations): &Self::Output) -> Vec<String> {
+        vec![encode_chunk(self.run_keys[i], i, stats, violations)]
     }
 }
 
@@ -1460,21 +1311,11 @@ pub fn check_summary(report: &CheckReport) -> String {
         100.0 * report.totals.memo_hit_rate(),
         report.totals.violations,
     ));
-    let c = &report.counters;
-    if !report.failures.is_empty() || c.resumed > 0 || report.halted {
-        out.push_str(&format!(
-            "supervision: {} failure(s), {} retried attempt(s), {} resumed, \
-             {} dropped record(s){}\n",
-            c.failures,
-            c.retries,
-            c.resumed,
-            c.dropped_records,
-            if report.halted { " [halted]" } else { "" },
-        ));
-        for f in &report.failures {
-            out.push_str(&format!("  {} {}\n", f.kind().name(), f.describe()));
-        }
-    }
+    out.push_str(&supervision_summary(
+        &report.counters,
+        &report.failures,
+        report.halted,
+    ));
     out
 }
 
@@ -1482,6 +1323,27 @@ pub fn check_summary(report: &CheckReport) -> String {
 mod tests {
     use super::*;
     use crate::verdict::Blame;
+    use gecko_fleet::journal::decode_header;
+    use gecko_fleet::Journal;
+
+    type Decoded = (
+        Option<(String, u64)>,
+        HashMap<u64, JournaledChunk>,
+        Vec<JournalDiagnostic>,
+    );
+
+    /// What a resume sees in `lines`: header, chunks and diagnostics.
+    fn decode_lines(lines: &[String]) -> Decoded {
+        let header = lines.iter().find_map(|line| decode_header(line));
+        let (chunks, diagnostics) = decode_chunks(records(lines));
+        (header, chunks, diagnostics)
+    }
+
+    /// A journal header line, byte for byte as the campaign driver
+    /// stamps it.
+    fn header(name: &str, fingerprint: u64) -> String {
+        format!(r#"{{"journal":"campaign","name":"{name}","fingerprint":{fingerprint}}}"#)
+    }
 
     fn sample_chunk(run_key: u64, item: usize, windows: u64) -> String {
         let stats = CheckStats {
@@ -1517,7 +1379,7 @@ mod tests {
         // Captured from the previous release's encoder.
         const CHUNK: &str = r#"{"kind":"chunk_done","run_key":21,"item":3,"windows":64,"forks":3,"explored":9,"memo_hits":2,"steps":40,"violations":1,"viols":"7|5p|stuck"}"#;
         assert_eq!(sample_chunk(21, 3, 64), CHUNK);
-        let (_, chunks, diagnostics) = decode_chunks(&[CHUNK.to_string()]);
+        let (_, chunks, diagnostics) = decode_lines(&[CHUNK.to_string()]);
         assert!(diagnostics.is_empty());
         let chunk = &chunks[&21];
         assert_eq!(
@@ -1541,13 +1403,13 @@ mod tests {
     #[test]
     fn classifier_only_deletes_lines_the_decoder_ignores() {
         let lines = vec![
-            encode_header("check", 0xBEEF),
+            header("check", 0xBEEF),
             sample_chunk(11, 0, 512), // superseded by the later key-11 record
             "not json at all".to_string(),
             r#"{"kind":"chunk_done","run_key":"oops"}"#.to_string(), // undecodable
             r#"{"kind":"run_done","run_key":9}"#.to_string(),        // foreign vocabulary
             sample_chunk(11, 0, 640),
-            encode_header("check", 0xBEEF), // duplicate header
+            header("check", 0xBEEF), // duplicate header
             sample_chunk(12, 1, 512),
         ];
         let verdicts = classify_check_lines(&lines);
@@ -1561,15 +1423,15 @@ mod tests {
         // The invariant the compactor relies on: pruning is invisible to
         // the decoder (diagnostics differ — the pruned lines were
         // exactly the diagnosed ones — so compare header + chunks).
-        let (h_all, c_all, _) = decode_chunks(&lines);
-        let (h_pruned, c_pruned, _) = decode_chunks(&pruned);
+        let (h_all, c_all, _) = decode_lines(&lines);
+        let (h_pruned, c_pruned, _) = decode_lines(&pruned);
         assert_eq!((h_all, c_all), (h_pruned, c_pruned));
 
         // Exactly the dead lines go: stale chunk, garbage, broken chunk,
         // duplicate header. The foreign run_done line survives.
         assert_eq!(pruned.len(), 4);
         assert!(pruned.iter().any(|l| l.contains("run_done")));
-        let (header, chunks, _) = decode_chunks(&pruned);
+        let (header, chunks, _) = decode_lines(&pruned);
         assert_eq!(header, Some(("check".to_string(), 0xBEEF)));
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[&11].stats.windows, 640);
@@ -1602,7 +1464,7 @@ mod tests {
         // one injection tag ('z') this binary does not know.
         let future = r#"{"kind": "chunk_done", "run_key": 99, "item": 3, "windows": 8, "forks": 1, "explored": 1, "memo_hits": 0, "steps": 5, "violations": 1, "viols": "7|5z|clean"}"#
             .to_string();
-        let lines = vec![encode_header("check", 1), sample_chunk(1, 0, 512), future];
+        let lines = vec![header("check", 1), sample_chunk(1, 0, 512), future];
 
         // The classifier must NOT delete it: a newer binary could still
         // resume from it.
@@ -1632,11 +1494,39 @@ mod tests {
     #[test]
     fn classifier_keeps_everything_in_a_clean_journal() {
         let lines = vec![
-            encode_header("check", 1),
+            header("check", 1),
             sample_chunk(1, 0, 512),
             sample_chunk(2, 1, 512),
         ];
         assert_eq!(classify_check_lines(&lines), vec![Verdict::Keep; 3]);
+    }
+
+    /// Chunk run keys and spec fingerprints key on-disk journals and memo
+    /// slabs: these values were captured before the hashing moved to the
+    /// shared FNV-1a helper and must never move.
+    #[test]
+    fn chunk_run_keys_and_fingerprints_are_pinned() {
+        assert_eq!(
+            chunk_run_key("crc16", SchemeKind::Gecko, 0, 512),
+            2262318655759427389
+        );
+        assert_eq!(
+            chunk_run_key("blink", SchemeKind::Nvp, 512, 1024),
+            8337755899428235665
+        );
+        let spec = CheckSpec::new("fixture")
+            .explore(ExploreConfig {
+                depth: 2,
+                fault_windows: true,
+                max_windows: Some(48),
+                ..ExploreConfig::default()
+            })
+            .chunk_windows(8);
+        assert_eq!(spec.fingerprint(&[1, 2, 3]), 12497583122452217753);
+        assert_eq!(
+            CheckSpec::new("plain").fingerprint(&[]),
+            11596309728536229441
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use gecko_check::{war_counter_app, CheckCampaign, CheckError, CheckSpec, ExploreConfig};
-use gecko_fleet::{ChaosSpec, Journal, RunFailure};
+use gecko_fleet::{ChaosSpec, Journal, MemorySink, RunFailure, SupervisorSpec};
 use gecko_sim::SchemeKind;
 
 /// One violating pair (NVP, items 0..6) and one clean pair (GECKO,
@@ -151,4 +151,106 @@ fn check_journals_from_a_different_spec_are_rejected() {
         }
         other => panic!("expected a journal rejection, got {other}"),
     }
+}
+
+/// A chunk that finishes past its wall deadline is reported `TimedOut`,
+/// so it must not be journaled as done: resuming the same journal has to
+/// reproduce the failures (and the digest).
+#[test]
+fn chunks_rejected_by_the_deadline_are_not_journaled() {
+    // A zero deadline: every chunk finishes, then fails the post-hoc
+    // deadline check; one attempt means nothing retries.
+    let sup = SupervisorSpec {
+        max_wall_ms: Some(0),
+        max_attempts: 1,
+        ..SupervisorSpec::default()
+    };
+    let journal = Arc::new(Journal::memory());
+    let first = CheckCampaign::new(spec())
+        .supervisor(sup)
+        .journal(Arc::clone(&journal))
+        .run()
+        .unwrap();
+    assert_eq!(first.failures.len(), 12);
+    assert!(first
+        .failures
+        .iter()
+        .all(|f| matches!(f, RunFailure::TimedOut { .. })));
+    let resumed = CheckCampaign::new(spec())
+        .supervisor(sup)
+        .resume(journal)
+        .run()
+        .unwrap();
+    assert_eq!(resumed.counters.resumed, 0, "nothing was accepted");
+    // Same failed runs (wall-clock fields aside), same digest.
+    let failed = |failures: &[RunFailure]| -> Vec<_> {
+        failures
+            .iter()
+            .map(|f| (f.kind(), f.item(), f.run_key()))
+            .collect()
+    };
+    assert_eq!(failed(&resumed.failures), failed(&first.failures));
+    assert_eq!(resumed.deterministic_digest(), first.deterministic_digest());
+}
+
+#[test]
+fn a_kill_switch_flipped_before_run_executes_nothing_and_resumes_bit_exactly() {
+    let reference = CheckCampaign::new(spec()).workers(2).run().unwrap();
+    let journal = Arc::new(Journal::memory());
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let killed = CheckCampaign::new(spec())
+        .workers(2)
+        .journal(Arc::clone(&journal))
+        .kill_switch(stop)
+        .run()
+        .unwrap();
+    assert!(killed.halted);
+    assert!(killed.failures.is_empty());
+    assert_eq!(killed.totals.windows, 0, "no chunk executed");
+    let resumed = CheckCampaign::new(spec())
+        .workers(2)
+        .resume(journal)
+        .run()
+        .unwrap();
+    assert!(!resumed.halted);
+    assert_eq!(resumed.counters.resumed, 0);
+    assert_eq!(resumed.results, reference.results);
+    assert_eq!(
+        resumed.deterministic_digest(),
+        reference.deterministic_digest()
+    );
+}
+
+#[test]
+fn sink_write_failures_degrade_to_one_counted_failure() {
+    let chaos = ChaosSpec {
+        seed: 3,
+        sink_fail_per_mille: 400,
+        ..ChaosSpec::off()
+    };
+    let run = |workers| {
+        CheckCampaign::new(spec())
+            .chaos(chaos)
+            .workers(workers)
+            .sink(Arc::new(MemorySink::new()))
+            .run()
+            .unwrap()
+    };
+    let a = run(1);
+    let b = run(4);
+    assert!(a.counters.dropped_records > 0, "chaos must drop something");
+    let sink_failures = a
+        .failures
+        .iter()
+        .filter(|f| matches!(f, RunFailure::SinkDropped { .. }))
+        .count();
+    assert_eq!(sink_failures, 1, "one summary failure, not a flood");
+    assert_eq!(a.failures.len(), 1, "no chunk was harmed");
+    assert_eq!(a.counters.failures, 0, "SinkDropped is not a run failure");
+    // Drops are keyed on the record sequence number, so the count (and
+    // with it the digest) is worker-count-invariant.
+    assert_eq!(a.counters.dropped_records, b.counters.dropped_records);
+    assert_eq!(a.deterministic_digest(), b.deterministic_digest());
+    let clean = CheckCampaign::new(spec()).run().unwrap();
+    assert_eq!(a.results, clean.results);
 }

@@ -22,27 +22,9 @@
 
 use std::collections::BTreeMap;
 
-use gecko_isa::{Program, RegionId};
+use gecko_isa::{Fnv1a, Program, RegionId};
 
 use crate::recovery::{RecoveryTable, RegionTable, RestoreAction};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_str(mut h: u64, s: &str) -> u64 {
-    h = fnv_u64(h, s.len() as u64);
-    for byte in s.bytes() {
-        h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Fingerprints of one compiled artifact: the whole program plus one
 /// digest per idempotent region, in region-id order.
@@ -65,62 +47,56 @@ pub fn fingerprint_program(program: &Program, recovery: &RecoveryTable) -> Progr
     let table = RegionTable::from_program(program);
     let mut regions = BTreeMap::new();
     for info in table.iter() {
-        let mut h = FNV_OFFSET;
-        h = fnv_u64(h, info.id.index() as u64);
-        h = fnv_u64(h, info.block.index() as u64);
-        h = fnv_u64(h, info.boundary_index as u64);
+        let mut h = Fnv1a::new();
+        h.u64(info.id.index() as u64)
+            .u64(info.block.index() as u64)
+            .u64(info.boundary_index as u64);
         let block = program.block(info.block);
-        h = fnv_u64(h, block.insts.len() as u64);
+        h.u64(block.insts.len() as u64);
         for inst in &block.insts {
-            h = fnv_str(h, &format!("{inst}"));
+            h.str(&format!("{inst}"));
         }
-        h = fnv_str(h, &format!("{}", block.term));
-        h = fnv_actions(h, recovery.actions(info.id));
-        regions.insert(info.id.index() as u32, h);
+        h.str(&format!("{}", block.term));
+        hash_actions(&mut h, recovery.actions(info.id));
+        regions.insert(info.id.index() as u32, h.finish());
     }
 
-    let mut h = FNV_OFFSET;
-    h = fnv_str(h, program.name());
-    h = fnv_u64(h, program.entry().index() as u64);
-    h = fnv_u64(h, program.block_count() as u64);
+    let mut h = Fnv1a::new();
+    h.str(program.name())
+        .u64(program.entry().index() as u64)
+        .u64(program.block_count() as u64);
     for (_, block) in program.blocks() {
-        h = fnv_u64(h, block.insts.len() as u64);
+        h.u64(block.insts.len() as u64);
         for inst in &block.insts {
-            h = fnv_str(h, &format!("{inst}"));
+            h.str(&format!("{inst}"));
         }
-        h = fnv_str(h, &format!("{}", block.term));
-        h = fnv_u64(h, block.loop_bound.map_or(u64::MAX, u64::from));
+        h.str(&format!("{}", block.term))
+            .u64(block.loop_bound.map_or(u64::MAX, u64::from));
     }
     for (&id, &fp) in &regions {
-        h = fnv_u64(h, id as u64);
-        h = fnv_u64(h, fp);
+        h.u64(id as u64).u64(fp);
     }
     ProgramFingerprints {
-        program: h,
+        program: h.finish(),
         regions,
     }
 }
 
-fn fnv_actions(mut h: u64, actions: &[RestoreAction]) -> u64 {
-    h = fnv_u64(h, actions.len() as u64);
+fn hash_actions(h: &mut Fnv1a, actions: &[RestoreAction]) {
+    h.u64(actions.len() as u64);
     for action in actions {
         match action {
             RestoreAction::FromSlot { reg, slot } => {
-                h = fnv_u64(h, 1);
-                h = fnv_u64(h, reg.index() as u64);
-                h = fnv_u64(h, *slot as u64);
+                h.u64(1).u64(reg.index() as u64).u64(*slot as u64);
             }
             RestoreAction::Recompute { reg, slice } => {
-                h = fnv_u64(h, 2);
-                h = fnv_u64(h, reg.index() as u64);
-                h = fnv_u64(h, slice.len() as u64);
+                h.u64(2).u64(reg.index() as u64).u64(slice.len() as u64);
                 for inst in slice {
-                    h = fnv_str(h, &format!("{inst}"));
+                    h.str(&format!("{inst}"));
                 }
             }
         }
     }
-    h
 }
 
 impl ProgramFingerprints {
@@ -131,17 +107,15 @@ impl ProgramFingerprints {
     /// each slab's blamed-region set and revalidates it against the
     /// current artifact on restore.
     pub fn region_set_digest(&self, ids: impl IntoIterator<Item = u32>) -> Option<u64> {
-        let mut h = FNV_OFFSET;
         let mut sorted: Vec<u32> = ids.into_iter().collect();
         sorted.sort_unstable();
         sorted.dedup();
-        h = fnv_u64(h, sorted.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(sorted.len() as u64);
         for id in sorted {
-            let fp = self.regions.get(&id)?;
-            h = fnv_u64(h, id as u64);
-            h = fnv_u64(h, *fp);
+            h.u64(id as u64).u64(*self.regions.get(&id)?);
         }
-        Some(h)
+        Some(h.finish())
     }
 
     /// The fingerprint of one region by raw id (`None` for unknown ids).
@@ -200,6 +174,28 @@ mod tests {
         assert_ne!(
             fa.program, fc.program,
             "a changed immediate changes the program digest"
+        );
+    }
+
+    /// Program and region fingerprints key persisted memo slabs: these
+    /// values were captured before the hashing moved to the shared FNV-1a
+    /// helper and must never move.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let out = compile(&sample_program(0), &CompileOptions::default()).unwrap();
+        let fps = fingerprint_program(&out.program, &out.recovery);
+        assert_eq!(fps.program, 283365735370128310);
+        assert_eq!(
+            fps.regions.values().copied().collect::<Vec<_>>(),
+            [
+                11496501728539647245,
+                15832332112526377573,
+                14117772269180773093
+            ]
+        );
+        assert_eq!(
+            fps.region_set_digest(fps.regions.keys().copied()),
+            Some(11706566784756520652)
         );
     }
 

@@ -5,8 +5,8 @@
 //! `apps × schemes × devices × attacks × faults × seeds`;
 //! [`CampaignSpec::expand`]
 //! flattens it into an ordered list of [`WorkItem`]s. [`Campaign::run`]
-//! executes the items on `workers` std threads pulling from a shared
-//! atomic cursor (a lock-free work queue over the fixed item list), with
+//! hands them to the campaign driver ([`crate::driver`]), which executes
+//! them on `workers` std threads pulling from a shared cursor, with
 //! every `(app, scheme, options)` compilation going through the shared
 //! [`ProgramCache`].
 //!
@@ -20,26 +20,25 @@
 //! ([`crate::supervisor`]): panics are quarantined into structured
 //! [`RunFailure`]s, step/wall budgets flag pathological cells instead of
 //! hanging on them, transient faults retry with deterministic backoff,
-//! and an optional [`Journal`] checkpoints completed runs so a killed
+//! and an optional [`Journal`](crate::Journal) checkpoints completed runs so a killed
 //! campaign resumes bit-exactly ([`Campaign::resume`]).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use gecko_apps::App;
 use gecko_compiler::{CompileError, CompileOptions, CompileStats};
 use gecko_emi::{AttackSchedule, DeviceModel, FaultSchedule, MonitorKind};
 use gecko_energy::{ConstantPower, StarvedHarvester};
+use gecko_isa::Fnv1a;
 use gecko_sim::report::Value;
 use gecko_sim::{Metrics, SchemeKind, SimConfig, Simulator};
 
 use crate::cache::ProgramCache;
-use crate::journal::{self, Journal};
-use crate::supervisor::{
-    run_supervised, AttemptFail, ChaosSink, ChaosSpec, ItemOutcome, PoolConfig, RunBudget,
-    RunFailure, SupervisorSpec,
-};
-use crate::telemetry::{Event, FleetCounters, Histogram, NullSink, TelemetrySink};
+use crate::driver::{self, DriverConfig, WorkUnit};
+use crate::journal;
+use crate::json::Json;
+use crate::supervisor::{AttemptFail, RunBudget, RunFailure, SupervisorSpec};
+use crate::telemetry::{Event, FleetCounters, Histogram, TelemetrySink};
 
 /// Steps per cooperative budget check: small enough that step budgets and
 /// wall deadlines fire promptly, large enough to stay invisible next to
@@ -379,18 +378,18 @@ impl CampaignSpec {
     /// Stable identity of one run: an FNV-1a hash of the cell's app name,
     /// scheme name, device index, attack label, fault label, and
     /// peripheral seed. Run keys identify completed runs in a resume
-    /// [`Journal`] and seed the per-run chaos/backoff streams, so they
+    /// [`Journal`](crate::Journal) and seed the per-run chaos/backoff streams, so they
     /// must not depend on scheduling — and they don't: they are pure
     /// functions of the spec.
     pub fn run_key(&self, item: &WorkItem) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_str(&mut h, &self.apps[item.app_idx]);
-        fnv_str(&mut h, self.schemes[item.scheme_idx].name());
-        fnv_u64(&mut h, item.device_idx as u64);
-        fnv_str(&mut h, &self.attacks[item.attack_idx].label);
-        fnv_str(&mut h, &self.faults[item.fault_idx].label);
-        fnv_u64(&mut h, self.seeds[item.seed_idx]);
-        h
+        Fnv1a::new()
+            .str(&self.apps[item.app_idx])
+            .str(self.schemes[item.scheme_idx].name())
+            .u64(item.device_idx as u64)
+            .str(&self.attacks[item.attack_idx].label)
+            .str(&self.faults[item.fault_idx].label)
+            .u64(self.seeds[item.seed_idx])
+            .finish()
     }
 
     /// A fingerprint of everything that determines the grid's results:
@@ -400,68 +399,51 @@ impl CampaignSpec {
     /// resume time — merging results from a different campaign would
     /// silently corrupt the report.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv_str(&mut h, &self.name);
+        let mut h = Fnv1a::new();
+        h.str(&self.name);
         let items = self.expand();
-        fnv_u64(&mut h, items.len() as u64);
+        h.u64(items.len() as u64);
         for item in &items {
-            fnv_u64(&mut h, self.run_key(item));
+            h.u64(self.run_key(item));
         }
         match self.supply {
-            Supply::Bench => fnv_u64(&mut h, 0),
-            Supply::Harvesting { power_w } => {
-                fnv_u64(&mut h, 1);
-                fnv_u64(&mut h, power_w.to_bits());
-            }
+            Supply::Bench => h.u64(0),
+            Supply::Harvesting { power_w } => h.u64(1).u64(power_w.to_bits()),
             Supply::Starved {
                 power_w,
                 period_s,
                 starve_s,
                 attenuation,
-            } => {
-                fnv_u64(&mut h, 2);
-                fnv_u64(&mut h, power_w.to_bits());
-                fnv_u64(&mut h, period_s.to_bits());
-                fnv_u64(&mut h, starve_s.to_bits());
-                fnv_u64(&mut h, attenuation.to_bits());
-            }
-        }
+            } => h
+                .u64(2)
+                .u64(power_w.to_bits())
+                .u64(period_s.to_bits())
+                .u64(starve_s.to_bits())
+                .u64(attenuation.to_bits()),
+        };
         match self.capacitor {
-            None => fnv_u64(&mut h, 0),
-            Some(cap) => {
-                fnv_u64(&mut h, 1);
-                fnv_u64(&mut h, cap.capacitance_f.to_bits());
-                fnv_u64(&mut h, cap.initial_voltage_v.to_bits());
-                fnv_u64(&mut h, cap.rescale_thresholds as u64);
-            }
-        }
-        fnv_u64(&mut h, self.adc_filter_taps.map_or(u64::MAX, |t| t as u64));
-        fnv_u64(
-            &mut h,
-            self.compile.wcet_budget_cycles.map_or(u64::MAX, |c| c),
-        );
-        fnv_u64(&mut h, self.compile.prune as u64);
-        fnv_u64(&mut h, self.compile.max_slice_insts as u64);
+            None => h.u64(0),
+            Some(cap) => h
+                .u64(1)
+                .u64(cap.capacitance_f.to_bits())
+                .u64(cap.initial_voltage_v.to_bits())
+                .u64(cap.rescale_thresholds as u64),
+        };
+        h.u64(self.adc_filter_taps.map_or(u64::MAX, |t| t as u64))
+            .u64(self.compile.wcet_budget_cycles.map_or(u64::MAX, |c| c))
+            .u64(self.compile.prune as u64)
+            .u64(self.compile.max_slice_insts as u64);
         match self.workload {
-            Workload::RunFor { seconds } => {
-                fnv_u64(&mut h, 0);
-                fnv_u64(&mut h, seconds.to_bits());
-            }
+            Workload::RunFor { seconds } => h.u64(0).u64(seconds.to_bits()),
             Workload::UntilCompletions { n, max_seconds } => {
-                fnv_u64(&mut h, 1);
-                fnv_u64(&mut h, n);
-                fnv_u64(&mut h, max_seconds.to_bits());
+                h.u64(1).u64(n).u64(max_seconds.to_bits())
             }
             Workload::Buckets {
                 horizon_s,
                 bucket_s,
-            } => {
-                fnv_u64(&mut h, 2);
-                fnv_u64(&mut h, horizon_s.to_bits());
-                fnv_u64(&mut h, bucket_s.to_bits());
-            }
-        }
-        h
+            } => h.u64(2).u64(horizon_s.to_bits()).u64(bucket_s.to_bits()),
+        };
+        h.finish()
     }
 
     /// The simulated seconds one run covers — what step budgets derive
@@ -475,26 +457,8 @@ impl CampaignSpec {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-fn fnv_u64(h: &mut u64, v: u64) {
-    for byte in v.to_le_bytes() {
-        *h ^= byte as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv_str(h: &mut u64, s: &str) {
-    fnv_u64(h, s.len() as u64);
-    for byte in s.as_bytes() {
-        *h ^= *byte as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
 /// One cell of the expanded grid (axis indices into the spec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkItem {
     /// Position in the expanded list (aggregation order).
     pub index: usize,
@@ -570,12 +534,7 @@ impl std::error::Error for CampaignError {}
 /// A configured, runnable campaign.
 pub struct Campaign {
     spec: CampaignSpec,
-    workers: usize,
-    sink: Arc<dyn TelemetrySink>,
-    sup: SupervisorSpec,
-    journal: Option<Arc<Journal>>,
-    halt_after: Option<u64>,
-    kill_switch: Option<Arc<std::sync::atomic::AtomicBool>>,
+    driver: DriverConfig,
 }
 
 impl Campaign {
@@ -584,88 +543,20 @@ impl Campaign {
     pub fn new(spec: CampaignSpec) -> Campaign {
         Campaign {
             spec,
-            workers: 1,
-            sink: Arc::new(NullSink),
-            sup: SupervisorSpec::default(),
-            journal: None,
-            halt_after: None,
-            kill_switch: None,
+            driver: DriverConfig::default(),
         }
     }
 
-    /// Sets the worker-pool size (builder style; clamped to ≥ 1).
-    pub fn workers(mut self, workers: usize) -> Campaign {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Attaches a telemetry sink (builder style).
-    pub fn sink(mut self, sink: Arc<dyn TelemetrySink>) -> Campaign {
-        self.sink = sink;
-        self
-    }
-
-    /// Overrides the supervision policy (builder style): budgets, retry
-    /// schedule, chaos.
-    pub fn supervisor(mut self, sup: SupervisorSpec) -> Campaign {
-        self.sup = sup;
-        self
-    }
-
-    /// Enables chaos injection (builder style) without touching the rest
-    /// of the supervision policy.
-    pub fn chaos(mut self, chaos: ChaosSpec) -> Campaign {
-        self.sup.chaos = chaos;
-        self
-    }
-
-    /// Attaches a journal (builder style): completed runs are appended as
-    /// they finish, and runs already present are skipped. Attaching a
-    /// journal from a previous (killed) session of the *same* spec is how
-    /// a campaign resumes; a journal whose fingerprint belongs to a
-    /// different spec is refused with [`CampaignError::Journal`].
-    pub fn journal(mut self, journal: Arc<Journal>) -> Campaign {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Alias for [`Campaign::journal`] that reads better at the call site
-    /// when the journal already has content: resume the campaign, skipping
-    /// every journaled run. The merged report is bit-exact against an
-    /// uninterrupted run at any worker count.
-    pub fn resume(self, journal: Arc<Journal>) -> Campaign {
-        self.journal(journal)
-    }
-
-    /// Claims at most `n` runs this session, then stops (builder style) —
-    /// the deterministic kill hook the kill/resume tests are built on.
-    /// The budget is charged at claim time, so the same `n` runs execute
-    /// at any worker count. The report's `halted` flag records that the
-    /// campaign stopped early.
-    pub fn halt_after(mut self, n: u64) -> Campaign {
-        self.halt_after = Some(n);
-        self
-    }
-
-    /// Attaches a cooperative kill switch (builder style): when another
-    /// thread flips the flag, workers finish (and journal) the run they
-    /// are on, stop claiming new ones, and the report comes back with
-    /// `halted` set. Combined with [`Campaign::journal`], this is the
-    /// graceful-shutdown seam — a daemon drains in-flight work to a clean
-    /// checkpoint instead of abandoning it, and a later
-    /// [`Campaign::resume`] continues bit-exactly.
-    pub fn kill_switch(mut self, stop: Arc<std::sync::atomic::AtomicBool>) -> Campaign {
-        self.kill_switch = Some(stop);
-        self
-    }
+    crate::driver_builders!();
 
     /// The spec this campaign will run.
     pub fn spec(&self) -> &CampaignSpec {
         &self.spec
     }
 
-    /// Executes the campaign: expand, restore journaled runs, fan out
-    /// under supervision, merge deterministically.
+    /// Executes the campaign: expand the grid, then hand it to the
+    /// campaign driver ([`crate::driver`]) for journal restore,
+    /// supervised fan-out and the item-order merge, and fold the totals.
     ///
     /// # Errors
     ///
@@ -686,172 +577,15 @@ impl Campaign {
         if items.is_empty() {
             return Err(CampaignError::EmptyGrid);
         }
-        let workers = self.workers.min(items.len());
-        let cache = ProgramCache::new();
-
-        let chaos = self.sup.chaos;
-        let sink: Arc<dyn TelemetrySink> = if chaos.sink_fail_per_mille > 0 {
-            Arc::new(ChaosSink::new(
-                Arc::clone(&self.sink),
-                chaos.seed,
-                chaos.sink_fail_per_mille,
-            ))
-        } else {
-            Arc::clone(&self.sink)
+        let mut sweep = Sweep {
+            spec,
+            apps,
+            run_keys: items.iter().map(|item| spec.run_key(item)).collect(),
+            items,
+            cache: ProgramCache::new(),
         };
-
-        let run_keys: Vec<u64> = items.iter().map(|item| spec.run_key(item)).collect();
-        let fingerprint = spec.fingerprint();
-
-        // Restore completed runs from the journal (and stamp the header
-        // on a fresh one).
-        let mut skip = vec![false; items.len()];
-        let mut restored: Vec<Option<RunResult>> = vec![None; items.len()];
-        if let Some(journal) = &self.journal {
-            let (header, runs) = journal::decode_campaign(&journal.lines());
-            match header {
-                Some((name, fp)) if fp != fingerprint => {
-                    return Err(CampaignError::Journal(format!(
-                        "journal belongs to campaign {name:?} (fingerprint {fp:#018x}), \
-                         not this spec (fingerprint {fingerprint:#018x})"
-                    )));
-                }
-                Some(_) => {}
-                None => journal.append(&journal::encode_header(&spec.name, fingerprint)),
-            }
-            for (i, key) in run_keys.iter().enumerate() {
-                if let Some(run) = runs.get(key) {
-                    if run.item == i {
-                        skip[i] = true;
-                        restored[i] = Some(RunResult {
-                            item: items[i],
-                            metrics: run.metrics,
-                            buckets: run.buckets.clone(),
-                            compile_stats: run.compile_stats,
-                            cache_hit: run.cache_hit,
-                            wall_ns: run.wall_ns,
-                        });
-                    }
-                }
-            }
-        }
-        let resumed = skip.iter().filter(|&&s| s).count() as u64;
-
-        sink.emit(Event::new(
-            "campaign_started",
-            vec![
-                ("campaign", Value::Str(spec.name.clone())),
-                ("items", Value::U64(items.len() as u64)),
-                ("workers", Value::U64(workers as u64)),
-                ("resumed", Value::U64(resumed)),
-            ],
-        ));
-
-        let started = Instant::now();
-        let budget = self.sup.resolve_budget(spec.workload_seconds());
-        let pool_cfg = PoolConfig {
-            workers,
-            run_keys: &run_keys,
-            skip: &skip,
-            sup: &self.sup,
-            budget,
-            halt_after: self.halt_after.map(|n| n + resumed),
-            stop: self.kill_switch.as_deref(),
-            claim: None,
-            sink: &sink,
-        };
-        let journal = self.journal.as_deref();
-        let pool = run_supervised(&pool_cfg, |i, attempt, budget, attempt_started| {
-            let item = items[i];
-            sink.emit(Event::new(
-                "item_started",
-                vec![
-                    ("item", Value::U64(i as u64)),
-                    ("attempt", Value::U64(attempt as u64)),
-                    ("app", Value::Str(spec.apps[item.app_idx].clone())),
-                    (
-                        "scheme",
-                        Value::Str(spec.schemes[item.scheme_idx].name().to_string()),
-                    ),
-                    (
-                        "attack",
-                        Value::Str(spec.attacks[item.attack_idx].label.clone()),
-                    ),
-                ],
-            ));
-            let result = match run_item_budgeted(
-                spec,
-                &apps[item.app_idx],
-                item,
-                &cache,
-                budget,
-                attempt_started,
-            )? {
-                Ok(r) => r,
-                Err(e) => return Ok(Err(e)),
-            };
-            if let Some(journal) = journal {
-                for line in journal::encode_run(run_keys[i], &result) {
-                    journal.append(&line);
-                }
-            }
-            sink.emit(Event::new(
-                "item_finished",
-                vec![
-                    ("item", Value::U64(i as u64)),
-                    ("completions", Value::U64(result.metrics.completions)),
-                    ("forward_cycles", Value::U64(result.metrics.forward_cycles)),
-                    (
-                        "checksum_errors",
-                        Value::U64(result.metrics.checksum_errors),
-                    ),
-                    ("wall_ns", Value::U64(result.wall_ns)),
-                    ("cache_hit", Value::Bool(result.cache_hit)),
-                ],
-            ));
-            Ok(Ok(result))
-        });
-
-        // Checkpoint boundary: every run journaled by the pool is forced
-        // to stable storage before the report claims it happened (sync
-        // failures degrade to the drop counter like any other journal
-        // I/O). Per-run appends stay fsync-free to keep the clean path
-        // cheap.
-        if let Some(journal) = journal {
-            journal.sync();
-        }
-        let wall_s = started.elapsed().as_secs_f64();
-
-        // Deterministic merge: walk slots in item order; journaled runs
-        // fill their slots, fresh results and failures fill the rest.
-        let mut results = Vec::with_capacity(items.len());
-        let mut failures = Vec::new();
-        for (i, slot) in pool.outcomes.into_iter().enumerate() {
-            if skip[i] {
-                results.push(restored[i].take().expect("restored above"));
-                continue;
-            }
-            match slot {
-                // Unclaimed is only reachable after a halt (or behind a
-                // crashed supervisor worker, which the pool reports).
-                None => debug_assert!(pool.halted, "item {i} unclaimed without a halt"),
-                Some(ItemOutcome::Done(Ok(r))) => results.push(r),
-                Some(ItemOutcome::Done(Err(e))) => return Err(e),
-                Some(ItemOutcome::Failed(f)) => failures.push(f),
-            }
-        }
-        let dropped_records =
-            sink.dropped_records() + self.journal.as_ref().map_or(0, |j| j.dropped());
-        if dropped_records > 0 {
-            sink.emit(Event::new(
-                "sink_dropped",
-                vec![("dropped", Value::U64(dropped_records))],
-            ));
-            failures.push(RunFailure::SinkDropped {
-                dropped: dropped_records,
-            });
-        }
-
+        let mut run = driver::drive(&self.driver, &mut sweep)?;
+        let results: Vec<RunResult> = run.outputs.drain(..).flatten().collect();
         let mut totals = Metrics::default();
         let mut item_wall = Histogram::new();
         for r in &results {
@@ -860,83 +594,164 @@ impl Campaign {
         }
         let counters = FleetCounters {
             items: results.len() as u64,
-            compile_misses: cache.misses(),
-            compile_hits: cache.hits(),
-            failures: failures
-                .iter()
-                .filter(|f| !matches!(f, RunFailure::SinkDropped { .. }))
-                .count() as u64,
-            retries: pool.retries,
-            resumed,
-            dropped_records,
-            ..FleetCounters::default()
+            compile_misses: sweep.cache.misses(),
+            compile_hits: sweep.cache.hits(),
+            ..run.settle()
         };
-
-        sink.emit(Event::new(
+        run.finish(Event::new(
             "campaign_finished",
             vec![
                 ("campaign", Value::Str(spec.name.clone())),
                 ("items", Value::U64(counters.items)),
                 ("completions", Value::U64(totals.completions)),
-                ("wall_s", Value::F64(wall_s)),
+                ("wall_s", Value::F64(run.wall_s)),
                 ("compile_misses", Value::U64(counters.compile_misses)),
                 ("compile_hits", Value::U64(counters.compile_hits)),
                 ("failures", Value::U64(counters.failures)),
                 ("resumed", Value::U64(counters.resumed)),
-                ("halted", Value::Bool(pool.halted)),
+                ("halted", Value::Bool(run.halted)),
             ],
         ));
-        sink.flush();
 
         Ok(CampaignReport {
             spec: spec.clone(),
-            workers,
+            workers: run.workers,
             results,
-            failures,
+            failures: run.failures,
             totals,
             counters,
             item_wall,
-            wall_s,
-            halted: pool.halted,
+            wall_s: run.wall_s,
+            halted: run.halted,
         })
     }
 }
 
-/// One supervised attempt of one item. The outer `Result` is the
-/// supervisor's vocabulary (budget overruns, transient faults); the inner
-/// one carries hard campaign errors (compile failures are properties of
-/// the *spec*, not of one run, so they abort the campaign as before).
-fn run_item_budgeted(
-    spec: &CampaignSpec,
-    app: &App,
-    item: WorkItem,
-    cache: &ProgramCache,
-    budget: &RunBudget,
-    attempt_started: Instant,
-) -> Result<Result<RunResult, CampaignError>, AttemptFail> {
-    let scheme = spec.schemes[item.scheme_idx];
-    let t0 = Instant::now();
-    let (compiled, cache_hit) = match cache.get_or_compile(app, scheme, &spec.compile) {
-        Ok(found) => found,
-        Err(error) => {
-            return Ok(Err(CampaignError::Compile {
-                app: app.name.to_string(),
-                scheme,
-                error,
-            }))
-        }
-    };
-    let mut sim = Simulator::from_compiled(&compiled, spec.config_for(&item));
-    let (metrics, buckets) =
-        run_workload_budgeted(&mut sim, spec.workload, budget, attempt_started)?;
-    Ok(Ok(RunResult {
-        item,
-        metrics,
-        buckets,
-        compile_stats: compiled.stats,
-        cache_hit,
-        wall_ns: t0.elapsed().as_nanos() as u64,
-    }))
+/// A metric sweep as the driver's work unit: one item per grid cell,
+/// journaled as `run_done` records.
+struct Sweep<'a> {
+    spec: &'a CampaignSpec,
+    apps: Vec<App>,
+    items: Vec<WorkItem>,
+    run_keys: Vec<u64>,
+    cache: ProgramCache,
+}
+
+impl WorkUnit for Sweep<'_> {
+    type Output = RunResult;
+    type Error = CampaignError;
+    const KIND: &'static str = "campaign";
+
+    fn name(&self) -> &str {
+        &self.spec.name
+    }
+
+    fn run_keys(&self) -> &[u64] {
+        &self.run_keys
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.spec.fingerprint()
+    }
+
+    fn journal_error(message: String) -> CampaignError {
+        CampaignError::Journal(message)
+    }
+
+    fn budget(&self, sup: &SupervisorSpec) -> RunBudget {
+        sup.resolve_budget(self.spec.workload_seconds())
+    }
+
+    fn restore(
+        &mut self,
+        records: &mut dyn Iterator<Item = (usize, Json)>,
+        _sink: &dyn TelemetrySink,
+    ) -> Vec<Option<RunResult>> {
+        let runs = journal::decode_runs(records);
+        let restore = |(item, key): (&WorkItem, &u64)| {
+            let run = runs.get(key).filter(|run| run.item.index == item.index)?;
+            Some(RunResult {
+                item: *item,
+                ..run.clone()
+            })
+        };
+        self.items.iter().zip(&self.run_keys).map(restore).collect()
+    }
+
+    fn started(&self) -> Event {
+        Event::new(
+            "campaign_started",
+            vec![
+                ("campaign", Value::Str(self.spec.name.clone())),
+                ("items", Value::U64(self.items.len() as u64)),
+            ],
+        )
+    }
+
+    fn attempt(
+        &self,
+        i: usize,
+        attempt: u32,
+        budget: &RunBudget,
+        attempt_started: Instant,
+        sink: &dyn TelemetrySink,
+    ) -> Result<Result<RunResult, CampaignError>, AttemptFail> {
+        let (spec, item) = (self.spec, self.items[i]);
+        let (app, scheme) = (&self.apps[item.app_idx], spec.schemes[item.scheme_idx]);
+        sink.emit(Event::new(
+            "item_started",
+            vec![
+                ("item", Value::U64(i as u64)),
+                ("attempt", Value::U64(attempt as u64)),
+                ("app", Value::Str(spec.apps[item.app_idx].clone())),
+                ("scheme", Value::Str(scheme.name().to_string())),
+                (
+                    "attack",
+                    Value::Str(spec.attacks[item.attack_idx].label.clone()),
+                ),
+            ],
+        ));
+        let t0 = Instant::now();
+        // Compile failures are properties of the *spec*, not of one run:
+        // they abort the campaign instead of landing in `failures`.
+        let (compiled, cache_hit) = match self.cache.get_or_compile(app, scheme, &spec.compile) {
+            Ok(found) => found,
+            Err(error) => {
+                let app = app.name.to_string();
+                return Ok(Err(CampaignError::Compile { app, scheme, error }));
+            }
+        };
+        let mut sim = Simulator::from_compiled(&compiled, spec.config_for(&item));
+        let (metrics, buckets) =
+            run_workload_budgeted(&mut sim, spec.workload, budget, attempt_started)?;
+        let result = RunResult {
+            item,
+            metrics,
+            buckets,
+            compile_stats: compiled.stats,
+            cache_hit,
+            wall_ns: t0.elapsed().as_nanos() as u64,
+        };
+        sink.emit(Event::new(
+            "item_finished",
+            vec![
+                ("item", Value::U64(i as u64)),
+                ("completions", Value::U64(result.metrics.completions)),
+                ("forward_cycles", Value::U64(result.metrics.forward_cycles)),
+                (
+                    "checksum_errors",
+                    Value::U64(result.metrics.checksum_errors),
+                ),
+                ("wall_ns", Value::U64(result.wall_ns)),
+                ("cache_hit", Value::Bool(result.cache_hit)),
+            ],
+        ));
+        Ok(Ok(result))
+    }
+
+    fn journal_lines(&self, i: usize, result: &RunResult) -> Vec<String> {
+        journal::encode_run(self.run_keys[i], result)
+    }
 }
 
 /// Runs one workload in `BUDGET_SLICE_STEPS`-sized `run_capped` slices,
@@ -1109,12 +924,9 @@ impl CampaignReport {
     /// excluded; a clean campaign's digest is unchanged from the
     /// pre-supervision encoding (an empty failure list folds nothing).
     pub fn deterministic_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = Fnv1a::new();
         let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+            h.u64(v);
         };
         for r in &self.results {
             eat(r.item.index as u64);
@@ -1148,7 +960,7 @@ impl CampaignReport {
         for f in &self.failures {
             f.digest_into(&mut eat);
         }
-        h
+        h.finish()
     }
 }
 
@@ -1228,6 +1040,64 @@ mod tests {
         assert_eq!(report.counters.compile_misses, 1);
         assert_eq!(report.counters.compile_hits, 4);
         assert_eq!(report.results.iter().filter(|r| r.cache_hit).count(), 4);
+    }
+
+    /// Run keys and fingerprints key on-disk journals, and the digest is
+    /// what resume and worker-count tests compare: these values were
+    /// captured before the hashing moved to the shared FNV-1a helper and
+    /// must never move.
+    #[test]
+    fn run_keys_fingerprints_and_digest_are_pinned() {
+        let spec = tiny_spec().seeds([1, 2]);
+        let keys: Vec<u64> = spec.expand().iter().map(|i| spec.run_key(i)).collect();
+        assert_eq!(
+            keys,
+            [
+                6579396230631007622,
+                17401142575596755813,
+                9651764581801807779,
+                5223515469279949120,
+                11660441005140885923,
+                7232191892619027264,
+                16691579719157631622,
+                9066581990413828197
+            ]
+        );
+        assert_eq!(spec.fingerprint(), 1828459696728855839);
+        let mut starved = spec
+            .clone()
+            .attacks([
+                AttackCase::none(),
+                AttackCase::new("p2", AttackSchedule::none()),
+            ])
+            .faults([FaultCase::new("skip", FaultSchedule::none())])
+            .supply(Supply::Starved {
+                power_w: 1.2e-3,
+                period_s: 0.5,
+                starve_s: 0.1,
+                attenuation: 0.25,
+            })
+            .capacitor(CapacitorSpec {
+                capacitance_f: 22e-6,
+                initial_voltage_v: 3.3,
+                rescale_thresholds: true,
+            })
+            .workload(Workload::Buckets {
+                horizon_s: 0.02,
+                bucket_s: 0.005,
+            });
+        starved.adc_filter_taps = Some(5);
+        starved.compile.wcet_budget_cycles = Some(1234);
+        assert_eq!(starved.fingerprint(), 12794920576581653680);
+        let harvesting = spec
+            .supply(Supply::Harvesting { power_w: 1.2e-3 })
+            .workload(Workload::UntilCompletions {
+                n: 3,
+                max_seconds: 0.5,
+            });
+        assert_eq!(harvesting.fingerprint(), 14897301818497377226);
+        let report = Campaign::new(tiny_spec()).run().unwrap();
+        assert_eq!(report.deterministic_digest(), 14947793980058191291);
     }
 
     #[test]

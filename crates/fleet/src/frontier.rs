@@ -14,8 +14,8 @@
 //!   with the smallest start, keeping initial assignment deterministic.
 //! * With no free ranges left, it **steals** from the victim with the
 //!   most remaining work, splitting the victim's lease: the victim keeps
-//!   the front `bias` permille (default 500 — half), the thief takes the
-//!   tail. A one-item lease moves wholesale.
+//!   the front half (rounded down), the thief takes the tail. A one-item
+//!   lease moves wholesale.
 //!
 //! Which worker claims which index is scheduling-dependent — and
 //! irrelevant: results are content-addressed per item and merged in item
@@ -30,47 +30,32 @@ struct FrontierState {
     /// Per-worker lease `[next, end)`; empty when `next == end`.
     leases: Vec<(usize, usize)>,
     steals: u64,
-    splits: u64,
 }
 
-/// A shared claim frontier for [`run_supervised`](crate::run_supervised):
-/// plug one in via [`PoolConfig::claim`](crate::PoolConfig::claim).
-pub struct Frontier {
+/// A shared claim frontier for the supervised pool: the campaign driver
+/// claims through one when a [`WorkUnit`](crate::WorkUnit) supplies
+/// claim ranges.
+pub(crate) struct Frontier {
     state: Mutex<FrontierState>,
-    /// Permille of a stolen lease the victim keeps (clamped to ≤ 999 so
-    /// the thief always takes at least one item).
-    bias: u64,
 }
 
 impl Frontier {
     /// A frontier over `ranges` (contiguous `[start, end)` index
-    /// intervals; empty ranges are ignored) for `workers` workers, with
-    /// the default steal bias (victim keeps half).
-    pub fn new(ranges: &[(usize, usize)], workers: usize) -> Frontier {
+    /// intervals; empty ranges are ignored) for `workers` workers.
+    pub(crate) fn new(ranges: &[(usize, usize)], workers: usize) -> Frontier {
         Frontier {
             state: Mutex::new(FrontierState {
                 free: ranges.iter().copied().filter(|(s, e)| s < e).collect(),
                 leases: vec![(0, 0); workers.max(1)],
                 steals: 0,
-                splits: 0,
             }),
-            bias: 500,
         }
-    }
-
-    /// Builder: set the steal bias in permille — the fraction of a
-    /// stolen lease the *victim* keeps. 500 splits in half; 0 hands the
-    /// whole lease over; 999 steals a single trailing item. Values are
-    /// clamped to ≤ 999.
-    pub fn with_bias(mut self, permille: u64) -> Frontier {
-        self.bias = permille.min(999);
-        self
     }
 
     /// Claims the next item index for `worker`: lease front, else the
     /// earliest free range, else a steal. `None` once the frontier is
     /// drained (every index handed out).
-    pub fn claim(&self, worker: usize) -> Option<usize> {
+    pub(crate) fn claim(&self, worker: usize) -> Option<usize> {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let w = worker.min(s.leases.len() - 1);
         // 1. Own lease.
@@ -91,29 +76,20 @@ impl Frontier {
             .filter(|&v| v != w && s.leases[v].1 > s.leases[v].0)
             .max_by_key(|&v| s.leases[v].1 - s.leases[v].0)?;
         let (next, end) = s.leases[victim];
-        let len = end - next;
-        // Victim keeps the front `bias` permille (but the thief always
-        // gets at least one item; a one-item lease moves wholesale).
-        let keep = ((len as u128 * self.bias as u128 / 1000) as usize).min(len - 1);
+        // Victim keeps the front half, so the thief always gets at least
+        // one item and a one-item lease moves wholesale.
+        let keep = (end - next) / 2;
         s.leases[victim].1 = next + keep;
         s.leases[w] = (next + keep, end);
         s.steals += 1;
-        if keep > 0 {
-            s.splits += 1;
-        }
         let i = s.leases[w].0;
         s.leases[w].0 += 1;
         Some(i)
     }
 
     /// Steals performed (lease transfers, split or wholesale).
-    pub fn steals(&self) -> u64 {
+    pub(crate) fn steals(&self) -> u64 {
         self.state.lock().unwrap_or_else(|p| p.into_inner()).steals
-    }
-
-    /// Steals that split a lease (victim kept a nonempty front).
-    pub fn splits(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).splits
     }
 }
 
@@ -156,7 +132,6 @@ mod tests {
         let claimed = drain_all(&frontier, 1);
         assert_eq!(claimed, (0..9).collect::<Vec<_>>());
         assert_eq!(frontier.steals(), 0);
-        assert_eq!(frontier.splits(), 0);
     }
 
     #[test]
@@ -168,29 +143,17 @@ mod tests {
         // Victim had [1,16); it keeps the front half, thief starts at 8.
         assert_eq!(stolen, 8);
         assert_eq!(frontier.steals(), 1);
-        assert_eq!(frontier.splits(), 1);
         // Both workers now advance their own leases contiguously.
         assert_eq!(frontier.claim(0), Some(1));
         assert_eq!(frontier.claim(1), Some(9));
     }
 
     #[test]
-    fn bias_extremes_still_cover_everything() {
-        for bias in [0, 250, 999] {
-            let frontier = Frontier::new(&[(0, 11)], 3).with_bias(bias);
-            let claimed = drain_all(&frontier, 3);
-            let unique: BTreeSet<usize> = claimed.iter().copied().collect();
-            assert_eq!(unique, (0..11).collect(), "bias={bias}");
-        }
-    }
-
-    #[test]
     fn one_item_leases_move_wholesale() {
-        let frontier = Frontier::new(&[(0, 2)], 2).with_bias(999);
+        let frontier = Frontier::new(&[(0, 2)], 2);
         assert_eq!(frontier.claim(0), Some(0)); // lease now [1,2)
         assert_eq!(frontier.claim(1), Some(1)); // stolen wholesale
         assert_eq!(frontier.steals(), 1);
-        assert_eq!(frontier.splits(), 0);
         assert_eq!(frontier.claim(0), None);
         assert_eq!(frontier.claim(1), None);
     }

@@ -25,9 +25,10 @@
 //!   fingerprint in the header is what guards against resuming the wrong
 //!   campaign.
 //! * Durability is checkpoint-shaped, not per-line: [`Journal::sync`] is
-//!   called by the campaign once the pool drains (and segment seals fsync
-//!   on their own), so the clean path stays cheap while a power cut can
-//!   only cost lines since the last checkpoint — which resume re-executes.
+//!   called by the campaign driver once the pool drains (and segment
+//!   seals fsync on their own), so the clean path stays cheap while a
+//!   power cut can only cost lines since the last checkpoint — which
+//!   resume re-executes.
 //! * A file torn mid-append is repaired on [`Journal::open`] (the partial
 //!   final line is truncated away and counted in
 //!   [`Journal::torn_tails`]), so resume never sees a glued-together
@@ -48,7 +49,7 @@ use gecko_sim::report::{json_kv, Record as _, Value};
 use gecko_sim::Metrics;
 use gecko_store::{SegmentedLog, Verdict};
 
-use crate::campaign::RunResult;
+use crate::campaign::{RunResult, WorkItem};
 use crate::json::Json;
 use crate::supervisor::lock_unpoisoned;
 
@@ -254,7 +255,7 @@ pub fn decode_header(line: &str) -> Option<(String, u64)> {
     header_from(&Json::parse_record(line)?)
 }
 
-fn header_from(rec: &Json) -> Option<(String, u64)> {
+pub(crate) fn header_from(rec: &Json) -> Option<(String, u64)> {
     if rec.get("journal")?.as_str()? != lines::HEADER {
         return None;
     }
@@ -262,6 +263,45 @@ fn header_from(rec: &Json) -> Option<(String, u64)> {
         rec.get("name")?.as_str()?.to_string(),
         rec.get("fingerprint")?.as_u64()?,
     ))
+}
+
+/// Every journal line that parses as a JSON object and is not a header,
+/// with its 0-based line number — the records a resume decodes. Torn or
+/// garbage lines are skipped (their items simply re-run).
+pub fn records(journal_lines: &[String]) -> impl Iterator<Item = (usize, Json)> + '_ {
+    journal_lines
+        .iter()
+        .enumerate()
+        .filter_map(|(i, line)| Some((i, Json::parse_record(line)?)))
+        .filter(|(_, rec)| header_from(rec).is_none())
+}
+
+/// The skeleton every campaign-journal classifier shares, mirroring the
+/// resume decoders: unparseable lines and every header after the first
+/// are [`Verdict::Delete`]; every other record goes to `classify` (line
+/// number, record, all verdicts), which judges its own vocabulary and
+/// keeps foreign lines.
+pub fn classify_records(
+    journal_lines: &[String],
+    mut classify: impl FnMut(usize, &Json, &mut [Verdict]),
+) -> Vec<Verdict> {
+    let mut verdicts = vec![Verdict::Keep; journal_lines.len()];
+    let mut seen_header = false;
+    for (i, line) in journal_lines.iter().enumerate() {
+        let Some(rec) = Json::parse_record(line) else {
+            verdicts[i] = Verdict::Delete; // torn/garbage: invisible to the decoder
+            continue;
+        };
+        if header_from(&rec).is_some() {
+            if seen_header {
+                verdicts[i] = Verdict::Delete; // the decoder keeps the first header
+            }
+            seen_header = true;
+            continue;
+        }
+        classify(i, &rec, &mut verdicts);
+    }
+    verdicts
 }
 
 /// Encodes one completed run as its journal lines: the `bucket` lines
@@ -310,18 +350,6 @@ pub(crate) fn encode_run(run_key: u64, result: &RunResult) -> Vec<String> {
     fields.extend(result.metrics.fields());
     out.push(json_kv(&fields));
     out
-}
-
-/// A run restored from the journal (everything but the `WorkItem`, which
-/// the resuming campaign re-derives from the item index).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct JournaledRun {
-    pub item: usize,
-    pub metrics: Metrics,
-    pub buckets: Vec<Metrics>,
-    pub compile_stats: CompileStats,
-    pub cache_hit: bool,
-    pub wall_ns: u64,
 }
 
 fn metrics_from(rec: &Json) -> Option<Metrics> {
@@ -373,16 +401,20 @@ fn bucket_from(rec: &Json) -> Option<Edge> {
 
 /// A `run_done` record together with the bucket edges journaled before
 /// it. `None` unless the payload fully decodes and the edges sort to
-/// exactly `0..buckets`.
-fn run_from(rec: &Json, mut edges: Vec<Edge>) -> Option<JournaledRun> {
+/// exactly `0..buckets`. Of the `WorkItem` only the index is journaled;
+/// the resuming campaign re-derives the rest from it.
+fn run_from(rec: &Json, mut edges: Vec<Edge>) -> Option<RunResult> {
     edges.sort_by_key(|(i, _)| *i);
     let complete = edges.len() as u64 == rec.get("buckets")?.as_u64()?
         && edges.iter().enumerate().all(|(i, (j, _))| i as u64 == *j);
     if !complete {
         return None;
     }
-    Some(JournaledRun {
-        item: rec.get("item")?.as_u64()? as usize,
+    Some(RunResult {
+        item: WorkItem {
+            index: rec.get("item")?.as_u64()? as usize,
+            ..WorkItem::default()
+        },
         metrics: metrics_from(rec)?,
         buckets: edges.into_iter().map(|(_, m)| m).collect(),
         compile_stats: compile_stats_from(rec)?,
@@ -391,25 +423,16 @@ fn run_from(rec: &Json, mut edges: Vec<Edge>) -> Option<JournaledRun> {
     })
 }
 
-/// Replays a campaign journal: the header (if any) plus every completed
-/// run keyed by run key. Runs whose `run_done` line is missing or torn —
-/// or whose bucket lines are incomplete — are silently absent (they will
-/// simply be re-executed). Later duplicates win, so a journal appended by
-/// two overlapping sessions still resolves deterministically.
-pub(crate) fn decode_campaign(
-    journal_lines: &[String],
-) -> (Option<(String, u64)>, HashMap<u64, JournaledRun>) {
-    let mut header = None;
+/// Replays a campaign journal's records (see [`records`]): every
+/// completed run keyed by run key. Runs whose `run_done` line is missing
+/// or torn — or whose bucket lines are incomplete — are silently absent
+/// (they will simply be re-executed). Later duplicates win, so a journal
+/// appended by two overlapping sessions still resolves deterministically.
+pub(crate) fn decode_runs(records: impl Iterator<Item = (usize, Json)>) -> HashMap<u64, RunResult> {
     let mut buckets: HashMap<u64, Vec<Edge>> = HashMap::new();
     let mut runs = HashMap::new();
-    for line in journal_lines {
-        let Some(rec) = Json::parse_record(line) else {
-            continue;
-        };
-        if let Some(h) = header_from(&rec) {
-            header.get_or_insert(h);
-            continue;
-        }
+    for (_, rec) in records {
+        let rec = &rec;
         let Some(kind) = rec.get("kind").and_then(Json::as_str) else {
             continue;
         };
@@ -418,20 +441,20 @@ pub(crate) fn decode_campaign(
         };
         match kind {
             k if k == lines::BUCKET => {
-                if let Some(edge) = bucket_from(&rec) {
+                if let Some(edge) = bucket_from(rec) {
                     buckets.entry(run_key).or_default().push(edge);
                 }
             }
             k if k == lines::RUN_DONE => {
                 let edges = buckets.remove(&run_key).unwrap_or_default();
-                if let Some(run) = run_from(&rec, edges) {
+                if let Some(run) = run_from(rec, edges) {
                     runs.insert(run_key, run);
                 }
             }
             _ => {}
         }
     }
-    (header, runs)
+    runs
 }
 
 /// Classifies every line of a campaign journal for the store's
@@ -439,7 +462,7 @@ pub(crate) fn decode_campaign(
 /// the resume decoder either skips (torn/garbage, incomplete run groups,
 /// duplicate headers) or resolves against a later duplicate (superseded
 /// runs). The invariant pruning rests on: deleting every `Delete` line
-/// leaves `decode_campaign` output unchanged — so a resumed campaign
+/// leaves the decoded header and runs unchanged — so a resumed campaign
 /// merges bit-exactly whether or not the journal was pruned in between.
 ///
 /// A run's lines are classified as a *group* (its `bucket` edges plus the
@@ -450,32 +473,19 @@ pub(crate) fn decode_campaign(
 /// kept — the campaign may still be appending their run. Parseable lines
 /// in a foreign vocabulary are kept untouched.
 pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
-    let mut verdicts = vec![Verdict::Keep; journal_lines.len()];
-    let mut seen_header = false;
     // Per key: bucket lines (index, edge) of the group being appended.
     let mut pending: HashMap<u64, Vec<(usize, Edge)>> = HashMap::new();
     // Per key: the line indices of the last *complete* group (the one the
     // decoder will restore).
     let mut last_group: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, line) in journal_lines.iter().enumerate() {
-        let Some(rec) = Json::parse_record(line) else {
-            verdicts[i] = Verdict::Delete; // torn/garbage: invisible to the decoder
-            continue;
-        };
-        if header_from(&rec).is_some() {
-            if seen_header {
-                verdicts[i] = Verdict::Delete; // the decoder keeps the first header
-            }
-            seen_header = true;
-            continue;
-        }
+    classify_records(journal_lines, |i, rec, verdicts| {
         let kind = rec.get("kind").and_then(Json::as_str);
         let run_key = rec.get("run_key").and_then(Json::as_u64);
         match (kind, run_key) {
             (Some(k), Some(run_key)) if k == lines::BUCKET => {
                 // The decoder only accumulates a bucket edge that carries
                 // an index and full metrics; anything less is invisible.
-                match bucket_from(&rec) {
+                match bucket_from(rec) {
                     Some(edge) => pending.entry(run_key).or_default().push((i, edge)),
                     None => verdicts[i] = Verdict::Delete,
                 }
@@ -484,7 +494,7 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
                 let pending_group = pending.remove(&run_key).unwrap_or_default();
                 let edges = pending_group.iter().map(|(_, edge)| *edge).collect();
                 // The decoder's own completeness test, on the same edges.
-                let complete = run_from(&rec, edges).is_some();
+                let complete = run_from(rec, edges).is_some();
                 let mut group: Vec<usize> = pending_group.into_iter().map(|(idx, _)| idx).collect();
                 group.push(i);
                 if complete {
@@ -503,14 +513,20 @@ pub fn classify_campaign_lines(journal_lines: &[String]) -> Vec<Verdict> {
             }
             _ => {} // foreign vocabulary: not ours to prune
         }
-    }
-    verdicts
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::WorkItem;
+
+    /// The header and runs a resume restores from `journal_lines`.
+    fn decode_campaign(
+        journal_lines: &[String],
+    ) -> (Option<(String, u64)>, HashMap<u64, RunResult>) {
+        let header = journal_lines.iter().find_map(|line| decode_header(line));
+        (header, decode_runs(records(journal_lines)))
+    }
 
     fn sample_result(index: usize, buckets: usize) -> RunResult {
         let item = WorkItem {
@@ -566,7 +582,7 @@ mod tests {
         assert_eq!(header, Some(("rt".to_string(), 0xFEED)));
         assert_eq!(runs.len(), 2);
         let ra = &runs[&11];
-        assert_eq!(ra.item, 0);
+        assert_eq!(ra.item.index, 0);
         assert_eq!(ra.metrics, a.metrics);
         assert_eq!(ra.compile_stats, a.compile_stats);
         assert_eq!(ra.cache_hit, a.cache_hit);
@@ -608,7 +624,7 @@ mod tests {
         let (header, runs) = decode_campaign(&lines);
         assert_eq!(header, Some(("fixture".to_string(), 0xFEED)));
         let run = &runs[&11];
-        assert_eq!(run.item, 4);
+        assert_eq!(run.item.index, 4);
         assert_eq!(run.metrics, result.metrics);
         assert_eq!(run.buckets, result.buckets);
         assert_eq!(run.compile_stats, result.compile_stats);

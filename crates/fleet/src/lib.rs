@@ -12,8 +12,8 @@
 //!
 //! Three layers:
 //!
-//! * [`campaign`] — the spec, the work queue, the pool, the deterministic
-//!   merge, and [`fleet_summary`]-style reporting.
+//! * [`campaign`] — the spec, its grid expansion and item body, the
+//!   totals, and [`fleet_summary`]-style reporting.
 //! * [`cache`] — the compile-once [`ProgramCache`] keyed on
 //!   `(app, scheme, compile options)`, sharing `Arc<CompiledApp>`
 //!   artifacts across workers.
@@ -21,7 +21,7 @@
 //!   [`Event`]s and pluggable [`TelemetrySink`]s (in-memory for tests,
 //!   JSON-lines behind the `json` feature for experiments).
 //!
-//! Two more layers make campaigns *survivable* (GECKO's own resilience
+//! Three more layers make campaigns *survivable* (GECKO's own resilience
 //! discipline, applied to the harness):
 //!
 //! * [`supervisor`] — panic quarantine, step/wall run budgets, bounded
@@ -31,6 +31,14 @@
 //! * [`journal`] — an append-only JSON-lines [`Journal`] of completed
 //!   runs; [`Campaign::resume`] skips journaled runs and merges
 //!   bit-exactly against an uninterrupted campaign at any worker count.
+//! * [`driver`] — the one supervised campaign driver. A campaign kind is
+//!   a [`WorkUnit`] (run keys and fingerprint, journal `restore`, one
+//!   budgeted `attempt`, the journal lines of a finished output);
+//!   [`drive`] owns everything else — journal header and restore, the
+//!   supervised pool, journaling only accepted outcomes, the item-order
+//!   merge, drop accounting. [`Campaign`] and `gecko-check`'s
+//!   `CheckCampaign` both run through it, so the kill → resume guarantee
+//!   exists once.
 //!
 //! The heavyweight paper sweeps have drop-in ports in [`figures`] that
 //! reproduce the sequential `gecko_sim::experiments` rows exactly.
@@ -53,8 +61,9 @@
 
 pub mod cache;
 pub mod campaign;
+pub mod driver;
 pub mod figures;
-pub mod frontier;
+mod frontier;
 pub mod journal;
 pub mod json;
 pub mod spec_io;
@@ -66,15 +75,15 @@ pub use campaign::{
     AttackCase, Campaign, CampaignError, CampaignReport, CampaignSpec, CapacitorSpec, DeviceCase,
     FaultCase, RunResult, Supply, WorkItem, Workload,
 };
-pub use frontier::Frontier;
+pub use driver::{drive, Drained, DriverConfig, WorkUnit};
 pub use journal::{classify_campaign_lines, Journal};
 pub use json::{Json, ParseError};
 pub use spec_io::{
     report_deterministic_json, report_to_json, spec_from_json, spec_to_json, DecodeError, SpecError,
 };
 pub use supervisor::{
-    lock_unpoisoned, quarantine, run_supervised, AttemptFail, ChaosSink, ChaosSpec, FailureKind,
-    ItemOutcome, PoolConfig, PoolReport, RunBudget, RunFailure, SupervisorSpec, TRANSIENT_PREFIX,
+    lock_unpoisoned, quarantine, AttemptFail, ChaosSpec, FailureKind, RunBudget, RunFailure,
+    SupervisorSpec, TRANSIENT_PREFIX,
 };
 pub use telemetry::{
     Event, FleetCounters, Histogram, MemorySink, NullSink, SegmentedSink, TelemetrySink,
@@ -124,20 +133,7 @@ pub fn fleet_summary(report: &CampaignReport) -> String {
         "totals: {} completions, {} forward cycles, {} checksum errors",
         report.totals.completions, report.totals.forward_cycles, report.totals.checksum_errors
     );
-    if !report.failures.is_empty() || c.resumed > 0 || report.halted || c.dropped_records > 0 {
-        let _ = writeln!(
-            out,
-            "supervision: {} failure(s), {} retried attempt(s), {} resumed, {} dropped record(s){}",
-            c.failures,
-            c.retries,
-            c.resumed,
-            c.dropped_records,
-            if report.halted { " [halted]" } else { "" },
-        );
-        for f in &report.failures {
-            let _ = writeln!(out, "  {} {}", f.kind().name(), f.describe());
-        }
-    }
+    out.push_str(&supervision_summary(c, &report.failures, report.halted));
     let _ = writeln!(
         out,
         "cache: {} compiles, {} hits | wall {:.2}s, work {:.2}s, speedup {:.2}x",
@@ -148,6 +144,30 @@ pub fn fleet_summary(report: &CampaignReport) -> String {
         report.work_s() / report.wall_s.max(1e-9),
     );
     let _ = writeln!(out, "digest: {:016x}", report.deterministic_digest());
+    out
+}
+
+/// The supervision lines of a campaign summary (shared with
+/// `gecko-check`'s `check_summary`): counts, then one line per failure.
+/// Empty for a clean, fresh, uninterrupted campaign.
+pub fn supervision_summary(c: &FleetCounters, failures: &[RunFailure], halted: bool) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    if failures.is_empty() && c.resumed == 0 && !halted {
+        return out;
+    }
+    let _ = writeln!(
+        out,
+        "supervision: {} failure(s), {} retried attempt(s), {} resumed, {} dropped record(s){}",
+        c.failures,
+        c.retries,
+        c.resumed,
+        c.dropped_records,
+        if halted { " [halted]" } else { "" },
+    );
+    for f in failures {
+        let _ = writeln!(out, "  {} {}", f.kind().name(), f.describe());
+    }
     out
 }
 

@@ -29,11 +29,11 @@
 //! never on scheduling, so supervision is exercised by deterministic,
 //! reproducible tests rather than luck.
 //!
-//! [`run_supervised`] is the generic worker pool shared by
-//! `gecko_fleet::Campaign` and `gecko-check`'s `CheckCampaign`: a shared
-//! work cursor (or a work-stealing [`Frontier`](crate::Frontier)),
-//! per-item supervision, optional journal-resume skipping and an optional
-//! halt-after-N-claims graceful stop.
+//! `run_supervised` is the worker pool under the campaign driver
+//! ([`crate::driver`]): a shared work cursor (or a work-stealing
+//! work-stealing frontier), per-item supervision, resume skipping,
+//! a hook for accepted outcomes, and the halt-after-N-claims and
+//! kill-switch graceful stops.
 
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
@@ -152,7 +152,7 @@ pub struct ChaosPlan {
 /// seeded probability — the chaos hook for the sink-degradation path.
 /// Drop decisions are keyed on the record sequence number, so the *count*
 /// of drops depends only on the number of records, not on scheduling.
-pub struct ChaosSink {
+pub(crate) struct ChaosSink {
     inner: Arc<dyn TelemetrySink>,
     seed: u64,
     fail_per_mille: u32,
@@ -162,7 +162,7 @@ pub struct ChaosSink {
 
 impl ChaosSink {
     /// Wraps `inner`, dropping records with `fail_per_mille` probability.
-    pub fn new(inner: Arc<dyn TelemetrySink>, seed: u64, fail_per_mille: u32) -> ChaosSink {
+    pub(crate) fn new(inner: Arc<dyn TelemetrySink>, seed: u64, fail_per_mille: u32) -> ChaosSink {
         ChaosSink {
             inner,
             seed,
@@ -515,7 +515,7 @@ pub fn quarantine<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 
 /// What the pool recorded for one work item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ItemOutcome<T> {
+pub(crate) enum ItemOutcome<T> {
     /// The run completed (possibly after retries).
     Done(T),
     /// The run failed and was quarantined.
@@ -524,48 +524,39 @@ pub enum ItemOutcome<T> {
 
 /// The pool's merged outcome: one slot per item, in item order.
 #[derive(Debug)]
-pub struct PoolReport<T> {
+pub(crate) struct PoolReport<T> {
     /// Per-item outcomes; `None` for items never claimed (skipped by the
     /// caller's resume set, or unclaimed after a halt).
-    pub outcomes: Vec<Option<ItemOutcome<T>>>,
+    pub(crate) outcomes: Vec<Option<ItemOutcome<T>>>,
     /// Retry attempts performed beyond each run's first try.
-    pub retries: u64,
-    /// Whether the pool stopped claiming because `halt_after` was reached.
-    pub halted: bool,
+    pub(crate) retries: u64,
+    /// Whether the pool stopped claiming because `halt_after` was reached
+    /// or the kill switch flipped.
+    pub(crate) halted: bool,
 }
 
 /// Pool configuration for [`run_supervised`].
-pub struct PoolConfig<'a> {
-    /// Worker-thread count (clamped to ≥ 1 by the caller).
-    pub workers: usize,
+pub(crate) struct PoolConfig<'a> {
+    pub(crate) workers: usize,
     /// Stable per-item run keys (chaos/backoff streams key off these).
-    pub run_keys: &'a [u64],
-    /// Items to skip entirely (already restored from a journal).
-    pub skip: &'a [bool],
-    /// Supervision policy.
-    pub sup: &'a SupervisorSpec,
-    /// Resolved per-run budget.
-    pub budget: RunBudget,
-    /// Claim at most this many items, counting the skipped ones — the
-    /// graceful-kill hook. The budget is charged when an item is claimed,
-    /// not when it finishes, so exactly `halt_after - skipped` items run
-    /// at any worker count.
-    pub halt_after: Option<u64>,
-    /// Cooperative kill switch: when the flag flips true, workers finish
-    /// the run they are on (journaling it as usual) and stop claiming new
-    /// ones, reporting `halted`. This is the asynchronous sibling of
-    /// `halt_after` — a daemon's shutdown/cancel path flips it from
-    /// another thread, and a journaled campaign later resumes bit-exactly.
-    pub stop: Option<&'a AtomicBool>,
-    /// Work-stealing claim frontier. `None` claims items off a shared
-    /// atomic cursor (the historical discipline); `Some` routes every
-    /// claim through [`Frontier::claim`](crate::Frontier::claim), giving
-    /// each worker contiguous index runs with locality-preserving steals.
-    /// Either way every index in `0..run_keys.len()` is claimed exactly
-    /// once, so outcomes (merged in item order) are identical.
-    pub claim: Option<&'a crate::Frontier>,
-    /// Telemetry sink for `run_failed` / `run_retried` events.
-    pub sink: &'a Arc<dyn TelemetrySink>,
+    pub(crate) run_keys: &'a [u64],
+    /// Items restored from a journal: never claimed.
+    pub(crate) skip: &'a [bool],
+    pub(crate) sup: &'a SupervisorSpec,
+    pub(crate) budget: RunBudget,
+    /// Claim at most this many items, counting the skipped ones. Charged
+    /// at claim time, so exactly `halt_after - skipped` items run at any
+    /// worker count.
+    pub(crate) halt_after: Option<u64>,
+    /// Cooperative kill switch: once it flips, workers finish the item
+    /// they are on and claim nothing more.
+    pub(crate) stop: Option<&'a AtomicBool>,
+    /// `None` claims items off one shared cursor in item order; `Some`
+    /// claims through a work-stealing frontier. Either way every index
+    /// is claimed exactly once.
+    pub(crate) claim: Option<&'a crate::frontier::Frontier>,
+    /// Sink for `run_failed` / `run_retried` events.
+    pub(crate) sink: &'a Arc<dyn TelemetrySink>,
 }
 
 /// Executes `attempt` for every non-skipped item on a supervised worker
@@ -574,12 +565,20 @@ pub struct PoolConfig<'a> {
 /// with deterministic backoff, and chaos injected per the spec. The
 /// closure receives `(item index, attempt number (1-based), budget,
 /// attempt start)` and returns its result or a cooperative failure.
+/// `accepted` sees every result supervision accepted, on the worker that
+/// produced it, as soon as it is accepted — the journaling hook: a result
+/// that finished past its deadline is a failure and never reaches it.
 ///
 /// Outcomes land in item order; which worker ran what never matters.
-pub fn run_supervised<T, F>(cfg: &PoolConfig<'_>, attempt: F) -> PoolReport<T>
+pub(crate) fn run_supervised<T, F, A>(
+    cfg: &PoolConfig<'_>,
+    attempt: F,
+    accepted: A,
+) -> PoolReport<T>
 where
     T: Send,
     F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
+    A: Fn(usize, &T) + Sync,
 {
     let n = cfg.run_keys.len();
     assert_eq!(cfg.skip.len(), n, "skip mask must cover every item");
@@ -601,6 +600,7 @@ where
             let retries = &retries;
             let halted = &halted;
             let attempt = &attempt;
+            let accepted = &accepted;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, ItemOutcome<T>)> = Vec::new();
                 // The next pending index, or `None` once the items are
@@ -636,6 +636,9 @@ where
                     let Some(i) = claim() else { break };
                     let (outcome, item_retries) = supervise_item(cfg, cfg.run_keys[i], i, attempt);
                     retries.fetch_add(item_retries, Ordering::Relaxed);
+                    if let ItemOutcome::Done(value) = &outcome {
+                        accepted(i, value);
+                    }
                     local.push((i, outcome));
                 }
                 local
@@ -871,12 +874,16 @@ mod tests {
             claim: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |i, _, _, _| {
-            if i % 5 == 0 {
-                panic!("run {i} exploded");
-            }
-            Ok(i * 10)
-        });
+        let report = run_supervised(
+            &cfg,
+            |i, _, _, _| {
+                if i % 5 == 0 {
+                    panic!("run {i} exploded");
+                }
+                Ok(i * 10)
+            },
+            |_, _| {},
+        );
         assert!(!report.halted);
         for (i, outcome) in report.outcomes.iter().enumerate() {
             match outcome.as_ref().expect("claimed") {
@@ -916,24 +923,32 @@ mod tests {
             sink: &sink,
         };
         // Succeeds on the third attempt.
-        let report = run_supervised(&cfg, |_, attempt, _, _| {
-            if attempt < 3 {
-                Err(AttemptFail::Transient {
-                    payload: format!("flaky #{attempt}"),
-                })
-            } else {
-                Ok(attempt)
-            }
-        });
+        let report = run_supervised(
+            &cfg,
+            |_, attempt, _, _| {
+                if attempt < 3 {
+                    Err(AttemptFail::Transient {
+                        payload: format!("flaky #{attempt}"),
+                    })
+                } else {
+                    Ok(attempt)
+                }
+            },
+            |_, _| {},
+        );
         assert_eq!(report.retries, 2);
         assert!(matches!(report.outcomes[0], Some(ItemOutcome::Done(3))));
 
         // Never succeeds: classified Transient with the attempt count.
-        let report = run_supervised(&cfg, |_, attempt, _, _| -> Result<u32, AttemptFail> {
-            Err(AttemptFail::Transient {
-                payload: format!("flaky #{attempt}"),
-            })
-        });
+        let report = run_supervised(
+            &cfg,
+            |_, attempt, _, _| -> Result<u32, AttemptFail> {
+                Err(AttemptFail::Transient {
+                    payload: format!("flaky #{attempt}"),
+                })
+            },
+            |_, _| panic!("nothing succeeds"),
+        );
         assert_eq!(report.retries, 2);
         match report.outcomes[0].as_ref().unwrap() {
             ItemOutcome::Failed(RunFailure::Transient {
@@ -967,12 +982,16 @@ mod tests {
             claim: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |_, attempt, _, _| {
-            if attempt == 1 {
-                panic!("{TRANSIENT_PREFIX}lost the resource");
-            }
-            Ok("recovered")
-        });
+        let report = run_supervised(
+            &cfg,
+            |_, attempt, _, _| {
+                if attempt == 1 {
+                    panic!("{TRANSIENT_PREFIX}lost the resource");
+                }
+                Ok("recovered")
+            },
+            |_, _| {},
+        );
         assert_eq!(report.retries, 1);
         assert!(matches!(
             report.outcomes[0],
@@ -997,7 +1016,7 @@ mod tests {
             claim: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |i, _, _, _| Ok(i));
+        let report = run_supervised(&cfg, |i, _, _, _| Ok(i), |_, _| {});
         assert!(report.halted);
         let done = report.outcomes.iter().flatten().count();
         assert_eq!(done, 10, "exactly halt_after runs were accounted");
@@ -1013,7 +1032,7 @@ mod tests {
         let sup = SupervisorSpec::default();
         let sink = null_sink();
         for workers in [1usize, 2, 8] {
-            let frontier = crate::Frontier::new(&[(0, 12), (12, 24)], workers);
+            let frontier = crate::frontier::Frontier::new(&[(0, 12), (12, 24)], workers);
             for claim in [None, Some(&frontier)] {
                 let cfg = PoolConfig {
                     workers,
@@ -1026,10 +1045,14 @@ mod tests {
                     claim,
                     sink: &sink,
                 };
-                let report = run_supervised(&cfg, |i, _, _, _| {
-                    std::thread::sleep(Duration::from_millis(20));
-                    Ok(i)
-                });
+                let report = run_supervised(
+                    &cfg,
+                    |i, _, _, _| {
+                        std::thread::sleep(Duration::from_millis(20));
+                        Ok(i)
+                    },
+                    |_, _| {},
+                );
                 let ran: Vec<usize> = (0..24).filter(|&i| report.outcomes[i].is_some()).collect();
                 let label = format!("workers={workers} frontier={}", claim.is_some());
                 assert!(report.halted, "{label}");

@@ -386,3 +386,79 @@ fn sink_write_failures_degrade_to_one_counted_failure() {
         assert_eq!(r.metrics, c.metrics);
     }
 }
+
+/// A run that finishes past its wall deadline is reported `TimedOut`, so
+/// it must not be journaled as done: resuming the same journal has to
+/// reproduce the failures (and the digest) instead of restoring results
+/// the first session never reported.
+#[test]
+fn runs_rejected_by_the_deadline_are_not_journaled() {
+    let spec = || {
+        CampaignSpec::new("late")
+            .apps(["blink", "crc16"])
+            .schemes([SchemeKind::Nvp])
+            .seeds([1, 2])
+            .workload(Workload::RunFor { seconds: 0.0 })
+    };
+    // A zero deadline: every attempt finishes, then fails the post-hoc
+    // deadline check; one attempt means nothing retries.
+    let sup = SupervisorSpec {
+        max_wall_ms: Some(0),
+        max_attempts: 1,
+        ..SupervisorSpec::default()
+    };
+    let journal = Arc::new(Journal::memory());
+    let first = Campaign::new(spec())
+        .supervisor(sup)
+        .journal(Arc::clone(&journal))
+        .run()
+        .unwrap();
+    assert!(first.results.is_empty());
+    assert_eq!(first.failures.len(), 4);
+    assert!(first
+        .failures
+        .iter()
+        .all(|f| matches!(f, RunFailure::TimedOut { .. })));
+    let resumed = Campaign::new(spec())
+        .supervisor(sup)
+        .resume(journal)
+        .run()
+        .unwrap();
+    assert_eq!(resumed.counters.resumed, 0, "nothing was accepted");
+    // Same failed runs (wall-clock fields aside), same digest.
+    let failed = |failures: &[RunFailure]| -> Vec<_> {
+        failures
+            .iter()
+            .map(|f| (f.kind(), f.item(), f.run_key()))
+            .collect()
+    };
+    assert_eq!(failed(&resumed.failures), failed(&first.failures));
+    assert_eq!(resumed.deterministic_digest(), first.deterministic_digest());
+}
+
+#[test]
+fn a_kill_switch_flipped_before_run_executes_nothing_and_resumes_bit_exactly() {
+    let reference = Campaign::new(small_spec()).workers(2).run().unwrap();
+    let journal = Arc::new(Journal::memory());
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(true));
+    let killed = Campaign::new(small_spec())
+        .workers(2)
+        .journal(Arc::clone(&journal))
+        .kill_switch(stop)
+        .run()
+        .unwrap();
+    assert!(killed.halted);
+    assert!(killed.results.is_empty() && killed.failures.is_empty());
+    assert_eq!(killed.counters.compile_misses, 0, "no item executed");
+    let resumed = Campaign::new(small_spec())
+        .workers(2)
+        .resume(journal)
+        .run()
+        .unwrap();
+    assert!(!resumed.halted);
+    assert_eq!(resumed.counters.resumed, 0);
+    assert_eq!(
+        resumed.deterministic_digest(),
+        reference.deterministic_digest()
+    );
+}

@@ -59,5 +59,5 @@ pub use builder::ProgramBuilder;
 pub use cost::{CostModel, EnergyModel};
 pub use inst::{BinOp, Cond, Inst, IoOp, Operand, Reg, Terminator};
 pub use program::{Block, BlockId, Program, RegionId, Segment, Word};
-pub use rng::SplitMix64;
+pub use rng::{Fnv1a, SplitMix64};
 pub use verify::{verify, VerifyError};

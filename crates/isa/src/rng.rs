@@ -5,6 +5,11 @@
 //! draws from this one deterministic stream so that simulations are
 //! bit-reproducible and the workspace needs no external `rand` crate
 //! (the build must succeed on air-gapped machines).
+//!
+//! Its deterministic sibling lives here too: [`Fnv1a`], the one byte-wise
+//! FNV-1a hasher behind every content-addressed key in the workspace
+//! (campaign run keys and spec fingerprints, checker chunk keys, program
+//! fingerprints, memo directory names, report digests).
 
 /// Seeded splitmix64 pseudo-random generator.
 ///
@@ -88,9 +93,80 @@ impl SplitMix64 {
     }
 }
 
+/// Streaming 64-bit FNV-1a over bytes. Integers hash as their 8
+/// little-endian bytes and strings as their length followed by their
+/// bytes, so `("ab", "c")` and `("a", "bc")` hash differently.
+///
+/// The values key on-disk journals and memo slabs, so every byte fed in
+/// is part of the persistent format — and so is the multiplier: the
+/// workspace has always used `0x1000_0000_01b3`, not the published
+/// 64-bit FNV prime `0x100_0000_01b3`, and keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x1000_0000_01b3;
+
+    /// A hasher at the FNV-1a offset basis.
+    pub fn new() -> Fnv1a {
+        Fnv1a(Fnv1a::OFFSET)
+    }
+
+    /// Folds raw bytes (no length prefix).
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv1a {
+        for &byte in bytes {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(Fnv1a::PRIME);
+        }
+        self
+    }
+
+    /// Folds a `u64` as its 8 little-endian bytes.
+    pub fn u64(&mut self, v: u64) -> &mut Fnv1a {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// Folds a string as its length (a `u64`) followed by its bytes.
+    pub fn str(&mut self, s: &str) -> &mut Fnv1a {
+        self.u64(s.len() as u64).bytes(s.as_bytes())
+    }
+
+    /// The digest so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_keeps_the_historical_constants() {
+        // Pinned: the offset basis, and the workspace multiplier applied
+        // to "a" and "foobar" (the published-prime values would be
+        // 0xaf63dc4c8601ec8c and 0x85944171f73967e8).
+        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv1a::new().bytes(b"a").finish(), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(
+            Fnv1a::new().bytes(b"foobar").finish(),
+            0xf8ac_2471_f739_67e8
+        );
+        // Length-prefixed strings keep field boundaries.
+        let ab_c = Fnv1a::new().str("ab").str("c").finish();
+        let a_bc = Fnv1a::new().str("a").str("bc").finish();
+        assert_ne!(ab_c, a_bc);
+        assert_eq!(
+            Fnv1a::new().u64(7).finish(),
+            Fnv1a::new().bytes(&7u64.to_le_bytes()).finish()
+        );
+    }
 
     #[test]
     fn stream_is_deterministic_and_nontrivial() {
