@@ -47,7 +47,7 @@ use crate::explore::{
     check_windows, check_windows_resumed, golden_steps, ExploreConfig, GoldenError, NullObserver,
     SlabPrefix,
 };
-use crate::memostore::{MemoStore, SlabWriter};
+use crate::memostore::{CompleteSlab, MemoStore, SlabWriter};
 use crate::shrink::{replay, shrink_schedule};
 use crate::verdict::{CheckStats, InjectionKind, PairReport, PlannedInjection, Violation};
 use crate::Outcome;
@@ -684,7 +684,8 @@ impl CheckCampaign {
     gecko_fleet::driver_builders!();
 
     /// Attaches a durable memo store (builder style): chunk verdicts and
-    /// memo tables persist as chunks explore, and a later campaign over
+    /// memo tables persist as chunks explore (a chunk's complete verdict
+    /// only once supervision accepts it), and a later campaign over
     /// the same spec answers complete chunks from disk, resumes partial
     /// ones mid-chunk, and re-explores only chunks whose blamed regions
     /// changed (DESIGN.md §17). Results are bit-identical either way.
@@ -799,6 +800,8 @@ impl CheckCampaign {
 
         let mut prefixes = Vec::new();
         prefixes.resize_with(items.len(), Default::default);
+        let mut complete = Vec::new();
+        complete.resize_with(items.len(), Default::default);
         let mut chunks = Chunks {
             spec,
             pairs,
@@ -808,6 +811,7 @@ impl CheckCampaign {
             memo: self.memo.as_deref(),
             fps,
             prefixes,
+            complete,
             journal_diagnostics: 0,
             memo_windows: 0,
         };
@@ -926,7 +930,8 @@ struct Pair {
 
 /// A check as the driver's work unit: one item per window chunk,
 /// journaled as `chunk_done` records and, with a memo store attached,
-/// persisted slab by slab as it explores.
+/// persisted slab by slab as it explores; the complete slab is written
+/// only for accepted chunks, like the journal line.
 struct Chunks<'a> {
     spec: &'a CheckSpec,
     pairs: Vec<Pair>,
@@ -938,6 +943,9 @@ struct Chunks<'a> {
     fps: Vec<ProgramFingerprints>,
     /// Restored partial slabs, taken by the chunk's first attempt.
     prefixes: Vec<Mutex<Option<SlabPrefix>>>,
+    /// Each chunk's complete slab from its latest attempt, written to the
+    /// memo store only once supervision accepts the chunk.
+    complete: Vec<Mutex<Option<CompleteSlab>>>,
     journal_diagnostics: u64,
     memo_windows: u64,
 }
@@ -1134,7 +1142,7 @@ impl WorkUnit for Chunks<'_> {
                 prefix,
                 &mut writer,
             );
-            writer.finish(&out.0);
+            *lock_unpoisoned(&self.complete[i]) = Some(writer.finish(&out.0));
             out
         } else {
             check_windows_resumed(
@@ -1170,6 +1178,13 @@ impl WorkUnit for Chunks<'_> {
             ],
         ));
         Ok(Ok((stats, outcome.violations)))
+    }
+
+    fn accepted(&self, i: usize, _output: &Self::Output) {
+        let complete = lock_unpoisoned(&self.complete[i]).take();
+        if let (Some(memo), Some(complete)) = (self.memo, complete) {
+            complete.write(memo);
+        }
     }
 
     fn journal_lines(&self, i: usize, (stats, violations): &Self::Output) -> Vec<String> {

@@ -487,9 +487,7 @@ impl<'a> SlabWriter<'a> {
         regions: &BTreeSet<u32>,
         fresh_memo: &[(u64, Outcome)],
     ) {
-        // `finish` passes an empty slice with `flushed` still at the last
-        // mid-slab boundary; saturate instead of indexing past the end.
-        for &(state, outcome) in fresh_memo.get(self.flushed..).unwrap_or_default() {
+        for &(state, outcome) in &fresh_memo[self.flushed..] {
             self.store.append_applied(&MemoLine::State {
                 run_key: self.run_key,
                 upto: done,
@@ -497,6 +495,20 @@ impl<'a> SlabWriter<'a> {
                 outcome,
             });
         }
+        self.store
+            .append_applied(&self.slab_line(done, stats, violations, regions));
+        self.flushed = fresh_memo.len();
+        self.last_flush = done;
+    }
+
+    /// The slab record line for `done` windows of this slab.
+    fn slab_line(
+        &self,
+        done: u64,
+        stats: &CheckStats,
+        violations: &[Violation],
+        regions: &BTreeSet<u32>,
+    ) -> MemoLine {
         let rec = SlabRecord {
             start: self.start,
             end: self.end,
@@ -521,32 +533,42 @@ impl<'a> SlabWriter<'a> {
                 })
                 .collect(),
         };
-        self.store.append_applied(&MemoLine::Slab {
+        MemoLine::Slab {
             run_key: self.run_key,
             rec,
-        });
-        self.flushed = fresh_memo.len();
-        self.last_flush = done;
+        }
     }
 
-    /// Seals the slab: writes the final record with `done = total`. State
-    /// lines are not flushed here — a complete slab never preloads memo
-    /// entries, so its trailing entries would be dead weight.
-    pub(crate) fn finish(&mut self, outcome: &SlabOutcome) {
+    /// The slab's final record, `done = total`, written by
+    /// [`CompleteSlab::write`] only once supervision accepts the chunk: a
+    /// chunk rejected after exploring (past its deadline) must re-run on
+    /// resume, not be answered from the store. State lines are never
+    /// written for it — a complete slab never preloads memo entries, so
+    /// its trailing entries would be dead weight.
+    pub(crate) fn finish(self, outcome: &SlabOutcome) -> CompleteSlab {
         let total = self.end.saturating_sub(self.start);
-        self.flush(
-            total,
-            &outcome.stats,
-            &outcome.violations,
-            &outcome.regions,
-            &[],
-        );
+        CompleteSlab(self.slab_line(total, &outcome.stats, &outcome.violations, &outcome.regions))
+    }
+}
+
+/// A finished chunk's complete slab record, held back until the chunk is
+/// accepted (see [`SlabWriter::finish`]).
+pub(crate) struct CompleteSlab(MemoLine);
+
+impl CompleteSlab {
+    /// Appends the record to `store`.
+    pub(crate) fn write(&self, store: &MemoStore) {
+        store.append_applied(&self.0);
     }
 }
 
 impl ExploreObserver for SlabWriter<'_> {
     fn window_done(&mut self, p: SlabProgress<'_>) {
-        if p.windows_done >= self.last_flush + FLUSH_WINDOWS {
+        // Never at the slab's end: `done = total` is written by
+        // [`CompleteSlab::write`] alone, and only for accepted chunks.
+        if p.windows_done >= self.last_flush + FLUSH_WINDOWS
+            && p.windows_done < self.end.saturating_sub(self.start)
+        {
             self.flush(
                 p.windows_done,
                 p.stats,
@@ -856,12 +878,14 @@ mod tests {
         assert_eq!(store.begin("t", 7), 1, "same spec reuses the generation");
 
         let fps = fake_fps();
-        let mut writer = SlabWriter::new(&store, &fps, 9, 0, 4, 100, 0);
-        writer.finish(&SlabOutcome {
-            stats: sample_stats(4),
-            violations: Vec::new(),
-            regions: BTreeSet::new(),
-        });
+        let writer = SlabWriter::new(&store, &fps, 9, 0, 4, 100, 0);
+        writer
+            .finish(&SlabOutcome {
+                stats: sample_stats(4),
+                violations: Vec::new(),
+                regions: BTreeSet::new(),
+            })
+            .write(&store);
         assert!(store.restore(9, 100, &fps).is_some());
 
         assert_eq!(store.begin("t", 8), 2, "new spec bumps the generation");
@@ -1000,12 +1024,16 @@ mod tests {
         let restored = store.restore(77, 500, &fps).expect("flushed");
         assert_eq!((restored.done, restored.total), (32, 100));
         assert_eq!(restored.memo.len(), 6);
-        // Finish seals with done = total and no further state lines.
-        writer.finish(&SlabOutcome {
+        // Finish seals with done = total and no further state lines; the
+        // store sees nothing of it until the record is written.
+        let complete = writer.finish(&SlabOutcome {
             stats: sample_stats(100),
             violations: Vec::new(),
             regions: regions.clone(),
         });
+        let partial = store.restore(77, 500, &fps).expect("still flushed");
+        assert_eq!((partial.done, partial.total), (32, 100));
+        complete.write(&store);
         let full = store.restore(77, 500, &fps).expect("complete");
         assert_eq!((full.done, full.total), (100, 100));
         assert!(full.memo.is_empty(), "complete slabs preload nothing");

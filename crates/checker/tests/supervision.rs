@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use gecko_check::{war_counter_app, CheckCampaign, CheckError, CheckSpec, ExploreConfig};
+use gecko_check::{
+    war_counter_app, CheckCampaign, CheckError, CheckSpec, ExploreConfig, MemoStore,
+};
 use gecko_fleet::{ChaosSpec, Journal, MemorySink, RunFailure, SupervisorSpec};
 use gecko_sim::SchemeKind;
 
@@ -154,24 +156,56 @@ fn check_journals_from_a_different_spec_are_rejected() {
 }
 
 /// A chunk that finishes past its wall deadline is reported `TimedOut`,
-/// so it must not be journaled as done: resuming the same journal has to
-/// reproduce the failures (and the digest).
+/// so it must not be journaled or memoized as done: resuming the same
+/// journal with the same memo store attached (as every served incremental
+/// check is) has to reproduce the failures (and the digest).
 #[test]
 fn chunks_rejected_by_the_deadline_are_not_journaled() {
-    // A zero deadline: every chunk finishes, then fails the post-hoc
-    // deadline check; one attempt means nothing retries.
+    // 8-window chunks never reach a periodic memo flush (every 32
+    // windows); 32-window chunks reach one only at their last window,
+    // which must not stand in for the complete slab; 64-window chunks
+    // flush a partial slab at 32 that does resume the rerun.
+    for (chunk, windows, memo_windows) in [(8, 48, 0), (32, 64, 0), (64, 64, 2 * 32)] {
+        deadline_rejected_chunks_rerun_on_resume(chunk, windows, memo_windows);
+    }
+}
+
+/// A zero deadline: every chunk finishes, then fails the post-hoc
+/// deadline check; one attempt means nothing retries. A resume with the
+/// same journal and memo store fails the same chunks with the same
+/// digest, restoring only `memo_windows` windows of partial slabs.
+fn deadline_rejected_chunks_rerun_on_resume(chunk: u64, windows: u64, memo_windows: u64) {
+    let spec = || {
+        spec()
+            .explore(ExploreConfig {
+                depth: 2,
+                power_failure_windows: false,
+                refail_horizon: 12,
+                max_windows: Some(windows),
+                ..ExploreConfig::default()
+            })
+            .chunk_windows(chunk)
+    };
+    let chunks = 2 * windows.div_ceil(chunk) as usize;
     let sup = SupervisorSpec {
         max_wall_ms: Some(0),
         max_attempts: 1,
         ..SupervisorSpec::default()
     };
+    let dir = std::env::temp_dir().join(format!(
+        "gecko-check-deadline-{}-{chunk}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let memo = Arc::new(MemoStore::open(&dir).unwrap());
     let journal = Arc::new(Journal::memory());
     let first = CheckCampaign::new(spec())
         .supervisor(sup)
         .journal(Arc::clone(&journal))
+        .memo(Arc::clone(&memo))
         .run()
         .unwrap();
-    assert_eq!(first.failures.len(), 12);
+    assert_eq!(first.failures.len(), chunks, "{chunk}-window chunks");
     assert!(first
         .failures
         .iter()
@@ -179,9 +213,14 @@ fn chunks_rejected_by_the_deadline_are_not_journaled() {
     let resumed = CheckCampaign::new(spec())
         .supervisor(sup)
         .resume(journal)
+        .memo(memo)
         .run()
         .unwrap();
     assert_eq!(resumed.counters.resumed, 0, "nothing was accepted");
+    assert_eq!(
+        resumed.counters.memo_windows, memo_windows,
+        "{chunk}-window chunks: only partial slabs restore"
+    );
     // Same failed runs (wall-clock fields aside), same digest.
     let failed = |failures: &[RunFailure]| -> Vec<_> {
         failures
@@ -191,6 +230,7 @@ fn chunks_rejected_by_the_deadline_are_not_journaled() {
     };
     assert_eq!(failed(&resumed.failures), failed(&first.failures));
     assert_eq!(resumed.deterministic_digest(), first.deterministic_digest());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -8,10 +8,10 @@
 //! segment — restore the last checkpoint, run under a budget, save a
 //! checkpoint: it checks (or stamps) the journal header, streams the
 //! once-parsed records into [`WorkUnit::restore`], runs every other item
-//! on the supervised pool, journals only outputs supervision *accepted*
-//! (a run that finished past its deadline is a failure, and a resume
-//! must re-run it), syncs the journal, and merges the outputs in item
-//! order.
+//! on the supervised pool, persists and journals only outputs supervision
+//! *accepted* (a run that finished past its deadline is a failure, and a
+//! resume must re-run it), syncs the journal, and merges the outputs in
+//! item order.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -167,6 +167,10 @@ pub trait WorkUnit: Sync {
         started: Instant,
         sink: &dyn TelemetrySink,
     ) -> Result<Result<Self::Output, Self::Error>, AttemptFail>;
+    /// Persists what the unit keeps beside the journal for one accepted
+    /// output (the checker's complete memo slab). Runs for every accepted
+    /// output, journal or not, before its journal lines are appended.
+    fn accepted(&self, _item: usize, _output: &Self::Output) {}
     /// The journal lines that checkpoint one accepted output.
     fn journal_lines(&self, item: usize, output: &Self::Output) -> Vec<String>;
 }
@@ -294,8 +298,10 @@ pub fn drive<'a, U: WorkUnit>(
     let pool = run_supervised(
         &pool_cfg,
         |i, attempt, budget, t| unit.attempt(i, attempt, budget, t, &*sink),
-        |i, accepted| {
-            if let (Some(journal), Ok(output)) = (journal, accepted) {
+        |i, outcome| {
+            let Ok(output) = outcome else { return };
+            unit.accepted(i, output);
+            if let Some(journal) = journal {
                 for line in unit.journal_lines(i, output) {
                     journal.append(&line);
                 }

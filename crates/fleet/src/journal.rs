@@ -29,20 +29,18 @@
 //!   seals fsync on their own), so the clean path stays cheap while a
 //!   power cut can only cost lines since the last checkpoint — which
 //!   resume re-executes.
-//! * A file torn mid-append is repaired on [`Journal::open`] (the partial
-//!   final line is truncated away and counted in
-//!   [`Journal::torn_tails`]), so resume never sees a glued-together
-//!   hybrid of an old tail and a new append.
-//! * For long-running services, [`Journal::segmented`] stores the lines
-//!   in a [`gecko_store::SegmentedLog`] — sealed segments the store's
-//!   pruner can compact (under [`classify_campaign_lines`]) without
-//!   disturbing the bit-exact resume guarantee.
+//! * Lines live in a [`gecko_store::SegmentedLog`] (or in memory, for
+//!   tests): sealed segments the store's pruner can compact (under
+//!   [`classify_campaign_lines`]) without disturbing the bit-exact resume
+//!   guarantee. A final line torn by a kill mid-append is truncated away
+//!   when the log is opened (and counted in [`Journal::torn_tails`]), so
+//!   resume never sees a glued-together hybrid of an old tail and a new
+//!   append.
 
 use std::collections::HashMap;
-use std::io::{Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use gecko_compiler::CompileStats;
 use gecko_sim::report::{json_kv, Record as _, Value};
@@ -54,101 +52,50 @@ use crate::json::Json;
 use crate::supervisor::lock_unpoisoned;
 
 /// The storage behind a journal: an in-memory line buffer (tests,
-/// kill/resume property tests), an append-only file, or a segmented log
-/// managed by `gecko-store` (prunable, retention-aware).
+/// kill/resume property tests) or a segmented log managed by
+/// `gecko-store` (prunable, torn-tail repaired on open).
 enum Backend {
-    Memory(Vec<String>),
-    File {
-        path: PathBuf,
-        writer: std::io::BufWriter<std::fs::File>,
-    },
-    Segmented(Arc<SegmentedLog>),
+    Memory(Mutex<Vec<String>>),
+    Segmented(SegmentedLog),
 }
 
 /// An append-only JSON-lines journal. Cheap to share behind an `Arc`;
 /// appends are serialized by an internal (poison-recovering) lock and
 /// flushed line-by-line so a kill loses at most the line being written.
 pub struct Journal {
-    backend: Mutex<Backend>,
-    dropped: AtomicU64,
-    torn_tails: AtomicU64,
+    backend: Backend,
+    // Failed `sync` checkpoints; failed appends are counted by the log.
+    sync_failures: AtomicU64,
 }
 
 impl Journal {
     /// An in-memory journal (nothing touches disk).
     pub fn memory() -> Journal {
         Journal {
-            backend: Mutex::new(Backend::Memory(Vec::new())),
-            dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(0),
-        }
-    }
-
-    /// Opens (creating if needed) an append-only file journal. Existing
-    /// lines are preserved — that is the whole point. A final line torn
-    /// by a kill mid-append is truncated away (and counted in
-    /// [`Journal::torn_tails`]) rather than poisoning the next append.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-open and tail-repair errors.
-    pub fn open(path: &Path) -> std::io::Result<Journal> {
-        let torn = path.exists() && gecko_store::repair_torn_tail(path)?;
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Journal {
-            backend: Mutex::new(Backend::File {
-                path: path.to_path_buf(),
-                writer: std::io::BufWriter::new(file),
-            }),
-            dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(u64::from(torn)),
-        })
-    }
-
-    /// Wraps a [`SegmentedLog`] as a journal. The log stays shared: the
-    /// campaign appends through this journal while the store's pruner
-    /// compacts sealed segments of the same log concurrently.
-    pub fn segmented(log: Arc<SegmentedLog>) -> Journal {
-        Journal {
-            backend: Mutex::new(Backend::Segmented(log)),
-            dropped: AtomicU64::new(0),
-            torn_tails: AtomicU64::new(0),
+            backend: Backend::Memory(Mutex::new(Vec::new())),
+            sync_failures: AtomicU64::new(0),
         }
     }
 
     /// Opens (creating if needed) a segmented journal in directory `dir`.
+    /// Existing lines are preserved — that is the whole point — and a
+    /// final line torn by a kill mid-append is truncated away.
     ///
     /// # Errors
     ///
     /// Propagates [`SegmentedLog::open`] errors.
     pub fn open_segmented(dir: &Path, cfg: gecko_store::LogConfig) -> std::io::Result<Journal> {
-        Ok(Journal::segmented(Arc::new(SegmentedLog::open(dir, cfg)?)))
-    }
-
-    /// The underlying segmented log, when this journal has one (for
-    /// pruner registration and stats).
-    pub fn segment_log(&self) -> Option<Arc<SegmentedLog>> {
-        match &*lock_unpoisoned(&self.backend) {
-            Backend::Segmented(log) => Some(Arc::clone(log)),
-            _ => None,
-        }
+        Ok(Journal {
+            backend: Backend::Segmented(SegmentedLog::open(dir, cfg)?),
+            sync_failures: AtomicU64::new(0),
+        })
     }
 
     /// Appends one line (the terminating newline is added here). Never
     /// panics: on I/O failure the line is dropped and counted.
     pub fn append(&self, line: &str) {
-        let mut backend = lock_unpoisoned(&self.backend);
-        match &mut *backend {
-            Backend::Memory(lines) => lines.push(line.to_string()),
-            Backend::File { writer, .. } => {
-                let ok = writeln!(writer, "{line}").is_ok() && writer.flush().is_ok();
-                if !ok {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        match &self.backend {
+            Backend::Memory(lines) => lock_unpoisoned(lines).push(line.to_string()),
             Backend::Segmented(log) => log.append(line),
         }
     }
@@ -156,40 +103,22 @@ impl Journal {
     /// Forces everything appended so far onto stable storage (`fsync`) —
     /// the checkpoint-boundary durability hook. The campaign calls this
     /// once the pool drains rather than per line, so the clean path stays
-    /// cheap; failures are counted as drops (the lines may not survive a
+    /// cheap; a failure is counted as a drop (the lines may not survive a
     /// power cut) instead of panicking.
     pub fn sync(&self) {
-        let mut backend = lock_unpoisoned(&self.backend);
-        let result = match &mut *backend {
-            Backend::Memory(_) => Ok(()),
-            Backend::File { writer, .. } => {
-                writer.flush().and_then(|()| writer.get_ref().sync_all())
+        if let Backend::Segmented(log) = &self.backend {
+            if log.sync().is_err() {
+                self.sync_failures.fetch_add(1, Ordering::Relaxed);
             }
-            Backend::Segmented(log) => log.sync(),
-        };
-        if result.is_err() {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Every line currently in the journal, in append order (for a file
-    /// journal this re-reads the file, so it also sees lines written by
-    /// a previous process).
+    /// Every line currently in the journal, in append order (for a
+    /// segmented journal this re-reads the segments, so it also sees lines
+    /// written by a previous process).
     pub fn lines(&self) -> Vec<String> {
-        let mut backend = lock_unpoisoned(&self.backend);
-        match &mut *backend {
-            Backend::Memory(lines) => lines.clone(),
-            Backend::File { path, writer } => {
-                let _ = writer.flush();
-                let mut text = String::new();
-                match std::fs::File::open(&*path) {
-                    Ok(mut f) => {
-                        let _ = f.read_to_string(&mut text);
-                    }
-                    Err(_) => return Vec::new(),
-                }
-                text.lines().map(str::to_string).collect()
-            }
+        match &self.backend {
+            Backend::Memory(lines) => lock_unpoisoned(lines).clone(),
             Backend::Segmented(log) => log.lines(),
         }
     }
@@ -197,30 +126,29 @@ impl Journal {
     /// Lines dropped because of I/O failures (including failed
     /// [`Journal::sync`] checkpoints).
     pub fn dropped(&self) -> u64 {
-        let backend_drops = match &*lock_unpoisoned(&self.backend) {
+        let append_failures = match &self.backend {
+            Backend::Memory(_) => 0,
             Backend::Segmented(log) => log.dropped(),
-            _ => 0,
         };
-        self.dropped.load(Ordering::Relaxed) + backend_drops
+        self.sync_failures.load(Ordering::Relaxed) + append_failures
     }
 
     /// Torn final lines truncated away when the journal was opened.
     pub fn torn_tails(&self) -> u64 {
-        let backend_torn = match &*lock_unpoisoned(&self.backend) {
+        match &self.backend {
+            Backend::Memory(_) => 0,
             Backend::Segmented(log) => log.torn_tails(),
-            _ => 0,
-        };
-        self.torn_tails.load(Ordering::Relaxed) + backend_torn
+        }
     }
 }
 
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = lock_unpoisoned(&self.backend);
-        match &*backend {
-            Backend::Memory(lines) => write!(f, "Journal::memory({} lines)", lines.len()),
-            Backend::File { path, .. } => write!(f, "Journal::open({})", path.display()),
-            Backend::Segmented(log) => write!(f, "Journal::segmented({log:?})"),
+        match &self.backend {
+            Backend::Memory(lines) => {
+                write!(f, "Journal::memory({} lines)", lock_unpoisoned(lines).len())
+            }
+            Backend::Segmented(log) => write!(f, "Journal::open_segmented({log:?})"),
         }
     }
 }
@@ -705,24 +633,61 @@ mod tests {
         );
     }
 
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gecko-journal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn segmented_journal_round_trips_across_reopen() {
+        let dir = scratch("seg");
+        let cfg = gecko_store::LogConfig {
+            max_segment_bytes: 256,
+        };
+        let journal = Journal::open_segmented(&dir, cfg).unwrap();
+        journal.append(&encode_header("seg", 11));
+        for key in 0..6 {
+            for line in encode_run(key, &sample_result(key as usize, 1)) {
+                journal.append(&line);
+            }
+        }
+        journal.sync();
+        assert!(
+            std::fs::read_dir(&dir).unwrap().count() > 1,
+            "small segments rotate"
+        );
+        let (header, runs) = decode_campaign(&journal.lines());
+        assert_eq!(header, Some(("seg".to_string(), 11)));
+        assert_eq!(runs.len(), 6);
+        assert_eq!((journal.torn_tails(), journal.dropped()), (0, 0));
+
+        // Reopen reads the same lines back.
+        drop(journal);
+        let reopened = Journal::open_segmented(&dir, cfg).unwrap();
+        let (_, runs) = decode_campaign(&reopened.lines());
+        assert_eq!(runs.len(), 6);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn open_repairs_a_torn_tail_and_counts_it() {
-        let path =
-            std::env::temp_dir().join(format!("gecko-journal-torn-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let dir = scratch("torn");
+        let cfg = gecko_store::LogConfig::default();
         {
-            let journal = Journal::open(&path).unwrap();
+            let journal = Journal::open_segmented(&dir, cfg).unwrap();
             journal.append(&encode_header("torn", 3));
             for line in encode_run(5, &sample_result(0, 0)) {
                 journal.append(&line);
             }
         }
-        // Kill mid-append: chop the file mid-byte of its last record.
-        let mut bytes = std::fs::read(&path).unwrap();
+        // Kill mid-append: chop the active tail mid-byte of its last record.
+        let tail = dir.join("seg-000000.jsonl");
+        let mut bytes = std::fs::read(&tail).unwrap();
         bytes.truncate(bytes.len() - 7);
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(&tail, &bytes).unwrap();
 
-        let journal = Journal::open(&path).unwrap();
+        let journal = Journal::open_segmented(&dir, cfg).unwrap();
         assert_eq!(journal.torn_tails(), 1, "repair is counted");
         let (header, runs) = decode_campaign(&journal.lines());
         assert_eq!(header, Some(("torn".to_string(), 3)));
@@ -736,64 +701,6 @@ mod tests {
         let (_, runs) = decode_campaign(&journal.lines());
         assert!(runs.contains_key(&5));
         assert_eq!(journal.dropped(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn segmented_journal_round_trips_and_exposes_its_log() {
-        let dir = std::env::temp_dir().join(format!("gecko-journal-seg-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let journal = Journal::open_segmented(
-            &dir,
-            gecko_store::LogConfig {
-                max_segment_bytes: 256,
-            },
-        )
-        .unwrap();
-        journal.append(&encode_header("seg", 11));
-        for key in 0..6 {
-            for line in encode_run(key, &sample_result(key as usize, 1)) {
-                journal.append(&line);
-            }
-        }
-        journal.sync();
-        let log = journal.segment_log().expect("segmented backend");
-        assert!(log.segments().len() > 1, "small segments rotate");
-        let (header, runs) = decode_campaign(&journal.lines());
-        assert_eq!(header, Some(("seg".to_string(), 11)));
-        assert_eq!(runs.len(), 6);
-
-        // Reopen reads the same lines back.
-        drop(journal);
-        let reopened = Journal::open_segmented(
-            &dir,
-            gecko_store::LogConfig {
-                max_segment_bytes: 256,
-            },
-        )
-        .unwrap();
-        let (_, runs) = decode_campaign(&reopened.lines());
-        assert_eq!(runs.len(), 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn file_journal_persists_across_reopen() {
-        let path =
-            std::env::temp_dir().join(format!("gecko-journal-test-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let journal = Journal::open(&path).unwrap();
-            journal.append(&encode_header("file", 7));
-            for line in encode_run(9, &sample_result(0, 0)) {
-                journal.append(&line);
-            }
-            assert_eq!(journal.dropped(), 0);
-        }
-        let reopened = Journal::open(&path).unwrap();
-        let (header, runs) = decode_campaign(&reopened.lines());
-        assert_eq!(header, Some(("file".to_string(), 7)));
-        assert!(runs.contains_key(&9));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -18,8 +18,9 @@
 //!   `(app, scheme, compile options)`, sharing `Arc<CompiledApp>`
 //!   artifacts across workers.
 //! * [`telemetry`] — counters, log-scale histograms, span-style
-//!   [`Event`]s and pluggable [`TelemetrySink`]s (in-memory for tests,
-//!   JSON-lines behind the `json` feature for experiments).
+//!   [`Event`]s, pluggable [`TelemetrySink`]s (null and in-memory here;
+//!   the daemon brings a segmented-log sink) and [`persist_records`] for
+//!   JSON-lines experiment dumps.
 //!
 //! Three more layers make campaigns *survivable* (GECKO's own resilience
 //! discipline, applied to the harness):
@@ -29,8 +30,9 @@
 //!   injection; failures become structured [`RunFailure`]s in the report
 //!   instead of killing workers.
 //! * [`journal`] — an append-only JSON-lines [`Journal`] of completed
-//!   runs; [`Campaign::resume`] skips journaled runs and merges
-//!   bit-exactly against an uninterrupted campaign at any worker count.
+//!   runs, in memory or on a `gecko_store::SegmentedLog`;
+//!   [`Campaign::resume`] skips journaled runs and merges bit-exactly
+//!   against an uninterrupted campaign at any worker count.
 //! * [`driver`] — the one supervised campaign driver. A campaign kind is
 //!   a [`WorkUnit`] (run keys and fingerprint, journal `restore`, one
 //!   budgeted `attempt`, the journal lines of a finished output);
@@ -86,11 +88,8 @@ pub use supervisor::{
     SupervisorSpec, TRANSIENT_PREFIX,
 };
 pub use telemetry::{
-    Event, FleetCounters, Histogram, MemorySink, NullSink, SegmentedSink, TelemetrySink,
+    persist_records, Event, FleetCounters, Histogram, MemorySink, NullSink, TelemetrySink,
 };
-
-#[cfg(feature = "json")]
-pub use telemetry::{persist_records, JsonlSink};
 
 // Re-exports so campaign code needs only this crate.
 pub use gecko_sim::experiments::Fidelity;

@@ -19,19 +19,21 @@
 //!
 //! Journal and telemetry are [`gecko_store::SegmentedLog`]s: sealed
 //! segments are fsynced, a torn active tail is repaired (and counted) on
-//! open, and a legacy flat `journal.jsonl` from an older daemon still
-//! resumes. A background pruner GCs finished `job-<id>/` directories
-//! under the configured retention policy (`retain_jobs` /
-//! `retain_bytes` / `retain_age_secs`), a bounded number of deletions
-//! per tick, with its [`gecko_store::PruneCheckpoint`]s persisted in
-//! `prune.json` under the journal root.
+//! open, and a legacy flat `journal.jsonl` from an older daemon is moved
+//! to `journal/seg-000000.jsonl` when its job is restored. A background
+//! pruner GCs finished `job-<id>/` directories under the configured
+//! retention policy (`retain_jobs` / `retain_bytes` / `retain_age_secs`),
+//! a bounded number of deletions per tick, with its
+//! [`gecko_store::PruneCheckpoint`]s persisted in `prune.json` under the
+//! journal root.
 //!
-//! The restart scan derives state from those files alone: `result.json`
-//! means Done, `state.json` means Cancelled/Failed, anything else means
-//! the job was interrupted (daemon killed, graceful shutdown, or
-//! `halt_after`) and goes back on the queue — [`Campaign::resume`] skips
-//! the journaled runs and the merged report is bit-exact against an
-//! uninterrupted run.
+//! The restart scan derives state from those files alone: both result
+//! documents whole (`result.json` carrying its digest) means Done,
+//! `state.json` means Cancelled/Failed, anything else (a result torn by a
+//! kill mid-write included) means the job was interrupted (daemon killed,
+//! graceful shutdown, or `halt_after`) and goes back on the queue —
+//! [`Campaign::resume`] skips the journaled runs and the merged report is
+//! bit-exact against an uninterrupted run.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -499,13 +501,8 @@ impl Job {
             .log()
             .map_or((0, 0), |l| (l.segments().len() as u64, l.total_bytes()));
         // The journal log is owned by the executing campaign, not the
-        // job, so its stats come from the directory itself (the legacy
-        // flat file counts as one segment).
+        // job, so its stats come from the directory itself.
         let (jnl_segments, jnl_bytes) = log_dir_stats(&self.dir.join("journal"));
-        let (jnl_segments, jnl_bytes) = match std::fs::metadata(self.dir.join("journal.jsonl")) {
-            Ok(m) => (jnl_segments + 1, jnl_bytes + m.len()),
-            Err(_) => (jnl_segments, jnl_bytes),
-        };
         Json::Obj(vec![
             ("journal_segments".into(), Json::U64(jnl_segments)),
             ("journal_bytes".into(), Json::U64(jnl_bytes)),
@@ -573,6 +570,22 @@ struct QueueInner {
     prune_cond: Condvar,
 }
 
+impl QueueInner {
+    fn new(cfg: ServeConfig) -> QueueInner {
+        QueueInner {
+            cfg,
+            jobs: Mutex::new(Vec::new()),
+            pending: Mutex::new(VecDeque::new()),
+            pending_cond: Condvar::new(),
+            shutting_down: AtomicBool::new(false),
+            next_id: AtomicU64::new(1),
+            pruner: Mutex::new(None),
+            prune_gate: Mutex::new(()),
+            prune_cond: Condvar::new(),
+        }
+    }
+}
+
 /// The daemon's job queue: owns every job, the worker pool that executes
 /// them, and the on-disk layout that makes them survive restarts.
 pub struct Queue {
@@ -590,17 +603,7 @@ impl Queue {
     /// Propagates journal-root creation failures.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Queue> {
         std::fs::create_dir_all(&cfg.journal_root)?;
-        let inner = Arc::new(QueueInner {
-            cfg,
-            jobs: Mutex::new(Vec::new()),
-            pending: Mutex::new(VecDeque::new()),
-            pending_cond: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            next_id: AtomicU64::new(1),
-            pruner: Mutex::new(None),
-            prune_gate: Mutex::new(()),
-            prune_cond: Condvar::new(),
-        });
+        let inner = Arc::new(QueueInner::new(cfg));
         // The segment holds a Weak so the pruner inside QueueInner does
         // not keep QueueInner alive through itself.
         if let Ok(mut pruner) = Pruner::open(
@@ -887,14 +890,20 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
         .and_then(Json::as_bool)
         .unwrap_or(false);
     let (name, grid) = validate_spec(kind, &spec).ok()?;
+    // Every job's legacy journal moves, terminal ones included, so the
+    // status counts it like any other. A failure here resurfaces (and
+    // fails the job) if the job executes.
+    let _ = migrate_legacy_journal(dir);
 
-    // Terminal-state detection from the directory contents alone.
-    let (state, error, digest) = if let Ok(text) = std::fs::read_to_string(dir.join("result.json"))
-    {
-        let digest = Json::parse(&text)
-            .ok()
-            .and_then(|doc| doc.get("digest")?.as_u64());
-        (JobState::Done, None, digest)
+    // Terminal-state detection from the directory contents alone. Done
+    // needs both result documents whole: one torn by a kill mid-write
+    // re-queues the job, whose complete journal rewrites them.
+    let parsed = |name: &str| Json::parse(&std::fs::read_to_string(dir.join(name)).ok()?).ok();
+    let digest = parsed("result.det.json")
+        .and(parsed("result.json"))
+        .and_then(|doc| doc.get("digest")?.as_u64());
+    let (state, error, digest) = if let Some(digest) = digest {
+        (JobState::Done, None, Some(digest))
     } else if let Ok(text) = std::fs::read_to_string(dir.join("state.json")) {
         let doc = Json::parse(&text).ok()?;
         let state = match doc.get("state")?.as_str()? {
@@ -1136,17 +1145,28 @@ fn memo_key(text: &str) -> u64 {
     h
 }
 
+/// Moves a flat `job-<id>/journal.jsonl` written by an older daemon to
+/// `journal/seg-000000.jsonl`, where it becomes the active tail of the
+/// segmented journal, whose open repairs a torn final line like any
+/// other. Returns the journal directory; a no-op without a legacy file.
+fn migrate_legacy_journal(job_dir: &Path) -> std::io::Result<PathBuf> {
+    let journal_dir = job_dir.join("journal");
+    let legacy = job_dir.join("journal.jsonl");
+    if legacy.exists() {
+        std::fs::create_dir_all(&journal_dir)?;
+        std::fs::rename(&legacy, journal_dir.join("seg-000000.jsonl"))?;
+        // Make the rename durable. Best-effort: some platforms refuse to
+        // sync a directory.
+        let _ = std::fs::File::open(&journal_dir).and_then(|d| d.sync_all());
+    }
+    Ok(journal_dir)
+}
+
 /// Runs one job to a stopped state, writing its terminal files.
 fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     job.set_state(JobState::Running, None, None);
-    // Segmented journal; a flat `journal.jsonl` written by an older
-    // daemon still resumes through the legacy single-file backend.
-    let legacy = job.dir.join("journal.jsonl");
-    let journal = if legacy.exists() {
-        Journal::open(&legacy)
-    } else {
-        Journal::open_segmented(&job.dir.join("journal"), LogConfig::default())
-    };
+    let journal = migrate_legacy_journal(&job.dir)
+        .and_then(|journal_dir| Journal::open_segmented(&journal_dir, LogConfig::default()));
     let journal = match journal {
         Ok(j) => Arc::new(j),
         Err(e) => {
@@ -1383,6 +1403,90 @@ mod tests {
             .count();
         assert_eq!(dirs, 0);
         queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_torn_result_document_requeues_the_job() {
+        let cfg = test_config("torn-result");
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg.clone()).unwrap();
+        let job = queue
+            .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
+            .unwrap();
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let (id, dir) = (job.id, job.dir.clone());
+        let digest = job.status_value().get("digest").and_then(Json::as_u64);
+        assert!(digest.is_some());
+        queue.shutdown();
+        drop(queue);
+
+        // No workers: restore only.
+        let inner = QueueInner::new(cfg);
+        let restored = |dir: &Path| {
+            let job = restore_job(&inner, id, dir).expect("job.json is intact");
+            let digest = lock_unpoisoned(&job.progress).digest;
+            (job.state(), digest)
+        };
+        assert_eq!(restored(&dir), (JobState::Done, digest));
+        for name in ["result.json", "result.det.json"] {
+            let path = dir.join(name);
+            let whole = std::fs::read(&path).unwrap();
+            for cut in 0..whole.len() {
+                std::fs::write(&path, &whole[..cut]).unwrap();
+                assert_eq!(
+                    restored(&dir),
+                    (JobState::Queued, None),
+                    "{name} cut at byte {cut} of {}",
+                    whole.len()
+                );
+            }
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(restored(&dir), (JobState::Queued, None), "{name} missing");
+            std::fs::write(&path, &whole).unwrap();
+            assert_eq!(restored(&dir), (JobState::Done, digest));
+        }
+        // A result document that parses but lost its digest is not Done.
+        std::fs::write(dir.join("result.json"), "{}").unwrap();
+        assert_eq!(restored(&dir), (JobState::Queued, None));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_terminal_legacy_journal_migrates_on_restore() {
+        let cfg = test_config("legacy-terminal");
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg.clone()).unwrap();
+        let job = queue
+            .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
+            .unwrap();
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let (id, dir) = (job.id, job.dir.clone());
+        let journal_stats = |job: &Job| {
+            let status = job.status_value();
+            let store = status.get("store").expect("status carries store stats");
+            let stat = |key| store.get(key).and_then(Json::as_u64);
+            (stat("journal_segments"), stat("journal_bytes"))
+        };
+        let stats = journal_stats(&job);
+        assert_eq!(stats.0, Some(1), "a tiny sweep journals one segment");
+        queue.shutdown();
+        drop(queue);
+
+        // The layout an older daemon left: one flat file, no directory.
+        let legacy = dir.join("journal.jsonl");
+        let segment = dir.join("journal").join("seg-000000.jsonl");
+        std::fs::rename(&segment, &legacy).unwrap();
+        std::fs::remove_dir_all(dir.join("journal")).unwrap();
+
+        // No workers: restore only. A Done job never executes again, so
+        // the restore itself moves the file.
+        let inner = QueueInner::new(cfg);
+        let job = restore_job(&inner, id, &dir).expect("job.json is intact");
+        assert_eq!(job.state(), JobState::Done);
+        assert!(!legacy.exists());
+        assert!(segment.exists());
+        assert_eq!(journal_stats(&job), stats);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -303,6 +303,100 @@ fn job_journaled_with_a_batch_knob_resumes_per_item_bit_exactly() {
 }
 
 #[test]
+fn legacy_flat_journal_migrates_and_resumes_bit_exactly() {
+    // Daemons before the segmented store journaled a job to a flat
+    // `job-<id>/journal.jsonl`. Such a job, killed mid-append, must come
+    // back on a current daemon: the file becomes the journal's first
+    // segment, its torn final line is repaired, and the job resumes.
+    let spec = tiny_fig4_spec();
+    let reference = Campaign::new(spec.clone()).run().unwrap();
+    let root = fresh_root("legacy-journal");
+    let (server, addr) = start_server(&root);
+    let envelope = format!(
+        r#"{{"spec":{},"workers":2,"halt_after":3}}"#,
+        spec_to_json(&spec)
+    );
+    let id = job_id(&submit(&addr, "/v1/campaigns", &envelope));
+    poll_until(&addr, id, "interrupted", Duration::from_secs(180));
+    server.shutdown();
+
+    // Rewrite the journal the way the older daemon stored it, torn by a
+    // kill in the middle of its next append.
+    let job_dir = root.join(format!("job-{id}"));
+    let journal_dir = job_dir.join("journal");
+    let mut segments: Vec<_> = std::fs::read_dir(&journal_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segments.sort();
+    let mut flat = String::new();
+    for segment in &segments {
+        flat.push_str(&std::fs::read_to_string(segment).unwrap());
+    }
+    let last = flat.lines().last().expect("the halted run journaled lines");
+    let torn = last[..last.len() / 2].to_string();
+    flat.push_str(&torn);
+    std::fs::remove_dir_all(&journal_dir).unwrap();
+    std::fs::write(job_dir.join("journal.jsonl"), flat).unwrap();
+
+    let (server, addr) = start_server(&root);
+    let done = poll_until(&addr, id, "done", Duration::from_secs(180));
+    assert_eq!(done.get("items_resumed").and_then(Json::as_u64), Some(3));
+    assert_eq!(
+        done.get("digest").and_then(Json::as_u64),
+        Some(reference.deterministic_digest())
+    );
+    let resp = http_call(
+        &addr,
+        "GET",
+        &format!("/v1/jobs/{id}/result?view=deterministic"),
+        "",
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.body, report_deterministic_json(&reference));
+    assert!(!job_dir.join("journal.jsonl").exists());
+    assert!(journal_dir.join("seg-000000.jsonl").exists());
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_torn_result_document_is_rewritten_byte_identically_on_restart() {
+    let spec = tiny_fig4_spec();
+    let root = fresh_root("torn-result");
+    let (server, addr) = start_server(&root);
+    let envelope = format!(r#"{{"spec":{},"workers":2}}"#, spec_to_json(&spec));
+    let id = job_id(&submit(&addr, "/v1/campaigns", &envelope));
+    let done = poll_until(&addr, id, "done", Duration::from_secs(180));
+    let digest = done.get("digest").and_then(Json::as_u64);
+    let det_path = format!("/v1/jobs/{id}/result?view=deterministic");
+    let original = http_call(&addr, "GET", &det_path, "").unwrap();
+    assert_eq!(original.status, 200);
+    server.shutdown();
+
+    // A kill while `result.json` was being written.
+    let result = root.join(format!("job-{id}")).join("result.json");
+    let bytes = std::fs::read(&result).unwrap();
+    std::fs::write(&result, &bytes[..bytes.len() / 2]).unwrap();
+
+    // The restarted daemon re-queues the job instead of serving the torn
+    // bytes, and the resume (every run journaled) rewrites both documents.
+    let (server, addr) = start_server(&root);
+    let done = poll_until(&addr, id, "done", Duration::from_secs(180));
+    assert_eq!(done.get("digest").and_then(Json::as_u64), digest);
+    let rewritten = http_call(&addr, "GET", &det_path, "").unwrap();
+    assert_eq!(rewritten.status, 200);
+    assert_eq!(rewritten.body, original.body);
+    let full = http_call(&addr, "GET", &format!("/v1/jobs/{id}/result"), "").unwrap();
+    assert_eq!(full.status, 200);
+    let full = Json::parse(&full.body).expect("the full document is whole again");
+    assert_eq!(full.get("digest").and_then(Json::as_u64), digest);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn served_check_matches_in_process_and_streams_verdicts() {
     use gecko_check::{CheckCampaign, CheckSpec, ExploreConfig};
     use gecko_serve::wire::{check_report_deterministic_json, check_spec_to_json};

@@ -1,8 +1,9 @@
 //! # gecko-store — segmented on-disk store with budgeted, resumable pruning
 //!
-//! PR 4's run journal and PR 6's per-job telemetry files are append-only:
-//! a long-running daemon grows them without bound. This crate is the
-//! retention layer underneath them, practicing the same crash-consistency
+//! Run journals, per-job telemetry streams and checker memo stores are
+//! append-only: a long-running daemon grows them without bound. This crate
+//! is the one on-disk log underneath all of them, and the pruning layer
+//! that bounds them, practicing the same crash-consistency
 //! discipline the simulator models — every structural change to the store
 //! is *interruption-safe at any byte*, and pruning never touches the data
 //! a fingerprinted bit-exact resume depends on.
@@ -20,12 +21,11 @@
 //!   [`Pruner::tick`], with a [`PruneCheckpoint`] persisted per segment
 //!   (in [`checkpoint::CheckpointStore`]) so pruning is incremental,
 //!   resumable, and safe to kill between any two syscalls.
-//! * [`compact`] / [`retention`] — the two generic [`Segment`]
-//!   implementations: [`LogCompactor`] rewrites sealed segments keeping
-//!   only the lines a caller-supplied classifier marks live (run-record
-//!   supersession, garbage lines), and [`LogRetention`] drops the oldest
-//!   lines of a log once it exceeds a byte cap (telemetry streams, where
-//!   old events age out wholesale).
+//! * [`compact`] — the generic [`Segment`] over a log: [`LogCompactor`]
+//!   rewrites sealed segments keeping only the lines a caller-supplied
+//!   classifier marks live (run-record supersession, garbage lines). The
+//!   other segment kind lives in gecko-serve, which ages out whole
+//!   finished job directories (`job_dirs`).
 //!
 //! The contract the whole crate is built around: for any interleaving of
 //! appends, prune ticks, and kills, `log.lines()` decoded by the owning
@@ -73,10 +73,8 @@ pub mod checkpoint;
 pub mod compact;
 pub mod log;
 pub mod pruner;
-pub mod retention;
 
 pub use checkpoint::{CheckpointStore, PruneCheckpoint};
 pub use compact::{Classifier, LogCompactor, Verdict};
-pub use log::{repair_torn_tail, LogConfig, SegmentInfo, SegmentLines, SegmentedLog};
+pub use log::{LogConfig, SegmentInfo, SegmentLines, SegmentedLog};
 pub use pruner::{PruneInput, PruneOutput, Pruner, Segment, StoreError, TickReport};
-pub use retention::LogRetention;

@@ -106,13 +106,8 @@ fn open_tail(path: &Path) -> std::io::Result<(std::io::BufWriter<std::fs::File>,
 
 /// Truncates `path` back to its last `\n` (or to empty), so a line torn
 /// by a kill mid-append never reaches a reader. Returns `true` if a torn
-/// tail was actually repaired. Exposed for single-file journals that want
-/// the same open-time repair the segmented log performs on its tail.
-///
-/// # Errors
-///
-/// Propagates open/read/truncate errors.
-pub fn repair_torn_tail(path: &Path) -> std::io::Result<bool> {
+/// tail was actually repaired.
+fn repair_torn_tail(path: &Path) -> std::io::Result<bool> {
     let mut file = std::fs::OpenOptions::new()
         .read(true)
         .write(true)
@@ -355,15 +350,6 @@ impl SegmentedLog {
         Ok(())
     }
 
-    /// Removes sealed segment `seq` entirely (retention aging).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SegmentedLog::replace_segment`].
-    pub fn remove_segment(&self, seq: u64) -> std::io::Result<()> {
-        self.replace_segment(seq, &[])
-    }
-
     /// Lines dropped because of I/O failures.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -483,8 +469,8 @@ mod tests {
             .with_extension("jsonl.tmp")
             .exists());
 
-        // Removing a segment drops its lines and its file.
-        log.remove_segment(first_sealed).unwrap();
+        // Replacing a segment with nothing drops its lines and its file.
+        log.replace_segment(first_sealed, &[]).unwrap();
         assert!(!log.lines().contains(&"{\"kept\":true}".to_string()));
         assert!(!seg_path(&dir, first_sealed).exists());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -21,6 +21,9 @@ fi
 echo "==> cargo build --release (offline)"
 cargo build --offline --workspace --release
 
+echo "==> e2ebench build (the end-to-end benchmark compiles against the crates' public API)"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml --target-dir target/e2ebench
+
 echo "==> cargo doc (offline, no deps; missing_docs is deny on sim/fleet/checker)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps --quiet
 
@@ -35,7 +38,7 @@ cargo test --offline --release -q -p gecko-fleet --test supervision
 cargo test --offline --release -q -p gecko-check --test supervision
 cargo run --offline --release --example campaign -- --chaos --resume --drain --prune
 
-echo "==> store smoke (segmented store: kill-mid-prune resume digests, retention caps)"
+echo "==> store smoke (segmented store: kill-mid-prune resume digests, torn tails, compaction)"
 cargo test --offline --release -q -p gecko-store
 cargo test --offline --release -q -p gecko-fleet --test prune
 

@@ -54,7 +54,7 @@ fn corpus() -> (Vec<(String, String)>, Vec<String>) {
     let memo = Arc::new(MemoStore::open(&dir).unwrap());
     let check_journal = Arc::new(Journal::memory());
     let check_spec = CheckSpec::new("codec-check")
-        .apps([war_counter_app(4)])
+        .apps([war_counter_app(6)])
         .schemes([SchemeKind::Nvp])
         .explore(ExploreConfig {
             depth: 2,
