@@ -15,7 +15,7 @@
 //! A check is a [`gecko_fleet::WorkUnit`] run by the fleet's campaign
 //! driver ([`gecko_fleet::drive`]): a chunk that panics is quarantined
 //! into a structured [`RunFailure`] instead of killing the campaign,
-//! budgets and bounded retry apply per chunk, and a
+//! budgets apply per chunk, each chunk runs once, and a
 //! [`Journal`](gecko_fleet::Journal) of completed chunks lets a killed
 //! campaign resume bit-exactly. Checker journal lines use their own
 //! vocabulary (`chunk_done`) on top of the fleet's line format; a
@@ -291,7 +291,7 @@ pub fn check_app(
 
 /// Stable identity of one chunk: content-addressed by (app, scheme,
 /// window range), so it survives spec reordering-neutral edits and keys
-/// the chaos/backoff/journal streams.
+/// the chaos and journal streams.
 fn chunk_run_key(app: &str, scheme: SchemeKind, start: u64, end: u64) -> u64 {
     Fnv1a::new()
         .str(app)
@@ -704,10 +704,10 @@ impl CheckCampaign {
     /// memo restore, supervised fan-out, item-order merge), then shrink
     /// each failing pair's first violation.
     ///
-    /// A chunk that panics (or blows its budget, or keeps failing
-    /// transiently) is quarantined into [`CheckReport::failures`]; every
-    /// other chunk's result — including violations found by sibling
-    /// chunks, which still shrink — is unaffected.
+    /// A chunk that panics (or blows its budget) is quarantined into
+    /// [`CheckReport::failures`]; every other chunk's result — including
+    /// violations found by sibling chunks, which still shrink — is
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -941,10 +941,10 @@ struct Chunks<'a> {
     memo: Option<&'a MemoStore>,
     /// Region fingerprints per pair (empty without a memo store).
     fps: Vec<ProgramFingerprints>,
-    /// Restored partial slabs, taken by the chunk's first attempt.
+    /// Restored partial slabs, taken by the chunk's run.
     prefixes: Vec<Mutex<Option<SlabPrefix>>>,
-    /// Each chunk's complete slab from its latest attempt, written to the
-    /// memo store only once supervision accepts the chunk.
+    /// Each chunk's complete slab from its run, written to the memo store
+    /// only once supervision accepts the chunk.
     complete: Vec<Mutex<Option<CompleteSlab>>>,
     journal_diagnostics: u64,
     memo_windows: u64,
@@ -1097,20 +1097,18 @@ impl WorkUnit for Chunks<'_> {
         )
     }
 
-    fn attempt(
+    fn run_item(
         &self,
         i: usize,
-        attempt: u32,
         budget: &RunBudget,
-        attempt_started: Instant,
+        started: Instant,
         sink: &dyn TelemetrySink,
     ) -> Result<Result<Self::Output, CheckError>, AttemptFail> {
         let item = self.items[i];
         let p = &self.pairs[item.pair];
         let explore = &self.spec.explore;
-        // A restored partial slab is taken (not cloned): a retry after a
-        // failed attempt re-explores from scratch, which is the
-        // uninterrupted run by definition.
+        // A restored partial slab is taken (not cloned): each chunk runs
+        // once.
         let prefix = lock_unpoisoned(&self.prefixes[i]).take();
         let prefix_done = prefix.as_ref().map_or(0, |pre| pre.windows_done);
         // Reuse this worker's parked simulator when it is positioned
@@ -1160,7 +1158,7 @@ impl WorkUnit for Chunks<'_> {
         if stats.steps > budget.max_steps {
             return Err(AttemptFail::TimedOut {
                 steps: stats.steps,
-                wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
                 partial: None,
             });
         }
@@ -1170,7 +1168,6 @@ impl WorkUnit for Chunks<'_> {
             "check_item_finished",
             vec![
                 ("item", Value::U64(i as u64)),
-                ("attempt", Value::U64(attempt as u64)),
                 ("app", Value::Str(p.compiled.app.name.to_string())),
                 ("scheme", Value::Str(p.compiled.scheme.name().to_string())),
                 ("windows", Value::U64(stats.windows)),

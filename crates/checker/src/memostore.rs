@@ -452,7 +452,7 @@ impl<'a> SlabWriter<'a> {
     /// A writer for the slab `start..end` of the pair fingerprinted by
     /// `fps`. `resumed_done` is the restored prefix length (0 for a
     /// from-scratch run); starting from scratch while the store still
-    /// holds records for this key — an invalidated restore, or a retry
+    /// holds records for this key — an invalidated restore, or a re-run
     /// after a partial flush — first drops them, so stale entries can
     /// never mix with the fresh run's.
     pub(crate) fn new(
@@ -914,7 +914,7 @@ mod tests {
             ],
         );
         assert!(store.restore(5, 100, &fps).is_some());
-        // A retry (or invalidated restore) starts from scratch: the stale
+        // A re-run (or invalidated restore) starts from scratch: the stale
         // partial records must not survive alongside the fresh run's.
         let writer = SlabWriter::new(&store, &fps, 5, 0, 64, 100, 0);
         assert!(store.restore(5, 100, &fps).is_none());

@@ -88,8 +88,8 @@ fn chunk_panics_quarantine_and_sibling_violations_still_shrink() {
     // The clean pair ran entirely outside the blast radius.
     assert_eq!(report.results[1], clean.results[1]);
 
-    // Chaos is keyed on (seed, chunk run key, attempt): the whole report,
-    // failures included, is worker-count-invariant.
+    // Chaos is keyed on (seed, chunk run key): the whole report, failures
+    // included, is worker-count-invariant.
     let solo = CheckCampaign::new(spec())
         .chaos(chaos)
         .workers(1)
@@ -171,9 +171,9 @@ fn chunks_rejected_by_the_deadline_are_not_journaled() {
 }
 
 /// A zero deadline: every chunk finishes, then fails the post-hoc
-/// deadline check; one attempt means nothing retries. A resume with the
-/// same journal and memo store fails the same chunks with the same
-/// digest, restoring only `memo_windows` windows of partial slabs.
+/// deadline check. A resume with the same journal and memo store fails
+/// the same chunks with the same digest, restoring only `memo_windows`
+/// windows of partial slabs.
 fn deadline_rejected_chunks_rerun_on_resume(chunk: u64, windows: u64, memo_windows: u64) {
     let spec = || {
         spec()
@@ -189,7 +189,6 @@ fn deadline_rejected_chunks_rerun_on_resume(chunk: u64, windows: u64, memo_windo
     let chunks = 2 * windows.div_ceil(chunk) as usize;
     let sup = SupervisorSpec {
         max_wall_ms: Some(0),
-        max_attempts: 1,
         ..SupervisorSpec::default()
     };
     let dir = std::env::temp_dir().join(format!(

@@ -19,8 +19,8 @@
 //! **Supervision.** Every run executes under the supervision layer
 //! ([`crate::supervisor`]): panics are quarantined into structured
 //! [`RunFailure`]s, step/wall budgets flag pathological cells instead of
-//! hanging on them, transient faults retry with deterministic backoff,
-//! and an optional [`Journal`](crate::Journal) checkpoints completed runs so a killed
+//! hanging on them, each item runs once, and an optional
+//! [`Journal`](crate::Journal) checkpoints completed runs so a killed
 //! campaign resumes bit-exactly ([`Campaign::resume`]).
 
 use std::time::Instant;
@@ -378,7 +378,7 @@ impl CampaignSpec {
     /// Stable identity of one run: an FNV-1a hash of the cell's app name,
     /// scheme name, device index, attack label, fault label, and
     /// peripheral seed. Run keys identify completed runs in a resume
-    /// [`Journal`](crate::Journal) and seed the per-run chaos/backoff streams, so they
+    /// [`Journal`](crate::Journal) and seed the per-run chaos streams, so they
     /// must not depend on scheduling — and they don't: they are pure
     /// functions of the spec.
     pub fn run_key(&self, item: &WorkItem) -> u64 {
@@ -562,7 +562,7 @@ impl Campaign {
     ///
     /// Returns the first (in item order) resolution or compile error, or
     /// [`CampaignError::Journal`] when a resume journal belongs to a
-    /// different spec. Panics, budget overruns and exhausted retries are
+    /// different spec. Panics and budget overruns are
     /// *not* errors — they land in [`CampaignReport::failures`].
     pub fn run(&self) -> Result<CampaignReport, CampaignError> {
         let spec = &self.spec;
@@ -688,12 +688,11 @@ impl WorkUnit for Sweep<'_> {
         )
     }
 
-    fn attempt(
+    fn run_item(
         &self,
         i: usize,
-        attempt: u32,
         budget: &RunBudget,
-        attempt_started: Instant,
+        started: Instant,
         sink: &dyn TelemetrySink,
     ) -> Result<Result<RunResult, CampaignError>, AttemptFail> {
         let (spec, item) = (self.spec, self.items[i]);
@@ -702,7 +701,6 @@ impl WorkUnit for Sweep<'_> {
             "item_started",
             vec![
                 ("item", Value::U64(i as u64)),
-                ("attempt", Value::U64(attempt as u64)),
                 ("app", Value::Str(spec.apps[item.app_idx].clone())),
                 ("scheme", Value::Str(scheme.name().to_string())),
                 (
@@ -722,8 +720,7 @@ impl WorkUnit for Sweep<'_> {
             }
         };
         let mut sim = Simulator::from_compiled(&compiled, spec.config_for(&item));
-        let (metrics, buckets) =
-            run_workload_budgeted(&mut sim, spec.workload, budget, attempt_started)?;
+        let (metrics, buckets) = run_workload_budgeted(&mut sim, spec.workload, budget, started)?;
         let result = RunResult {
             item,
             metrics,
@@ -763,18 +760,18 @@ fn run_workload_budgeted(
     sim: &mut Simulator,
     workload: Workload,
     budget: &RunBudget,
-    attempt_started: Instant,
+    started: Instant,
 ) -> Result<(Metrics, Vec<Metrics>), AttemptFail> {
     let mut taken = 0u64;
     match workload {
         Workload::RunFor { seconds } => {
             let t_end = sim.time_s() + seconds;
-            run_span_budgeted(sim, t_end, u64::MAX, budget, attempt_started, &mut taken)?;
+            run_span_budgeted(sim, t_end, u64::MAX, budget, started, &mut taken)?;
             Ok((sim.metrics, Vec::new()))
         }
         Workload::UntilCompletions { n, max_seconds } => {
             let t_end = sim.time_s() + max_seconds;
-            run_span_budgeted(sim, t_end, n, budget, attempt_started, &mut taken)?;
+            run_span_budgeted(sim, t_end, n, budget, started, &mut taken)?;
             Ok((sim.metrics, Vec::new()))
         }
         Workload::Buckets {
@@ -786,7 +783,7 @@ fn run_workload_budgeted(
             let mut buckets = Vec::with_capacity(n);
             for _ in 0..n {
                 let t_end = sim.time_s() + bucket_s;
-                run_span_budgeted(sim, t_end, u64::MAX, budget, attempt_started, &mut taken)?;
+                run_span_budgeted(sim, t_end, u64::MAX, budget, started, &mut taken)?;
                 buckets.push(sim.metrics);
             }
             Ok((*buckets.last().expect("n >= 1"), buckets))
@@ -799,7 +796,7 @@ fn run_span_budgeted(
     t_end: f64,
     target_completions: u64,
     budget: &RunBudget,
-    attempt_started: Instant,
+    started: Instant,
     taken: &mut u64,
 ) -> Result<(), AttemptFail> {
     loop {
@@ -809,13 +806,13 @@ fn run_span_budgeted(
         if *taken >= budget.max_steps {
             return Err(AttemptFail::TimedOut {
                 steps: *taken,
-                wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
+                wall_ms: started.elapsed().as_secs_f64() * 1e3,
                 partial: Some(Box::new(sim.metrics)),
             });
         }
         let slice = BUDGET_SLICE_STEPS.min(budget.max_steps - *taken);
         *taken += sim.run_capped(t_end, target_completions, slice);
-        let wall = attempt_started.elapsed();
+        let wall = started.elapsed();
         if wall > budget.deadline {
             return Err(AttemptFail::TimedOut {
                 steps: *taken,
@@ -1096,8 +1093,49 @@ mod tests {
                 max_seconds: 0.5,
             });
         assert_eq!(harvesting.fingerprint(), 14897301818497377226);
-        let report = Campaign::new(tiny_spec()).run().unwrap();
+        let mut report = Campaign::new(tiny_spec()).run().unwrap();
         assert_eq!(report.deterministic_digest(), 14947793980058191291);
+
+        // Failures fold into the digest by tag (1 panicked, 2 timed out,
+        // 4 sink dropped), run key and item; payloads, step counts, wall
+        // time and partials do not.
+        report.failures = vec![
+            RunFailure::Panicked {
+                run_key: keys[1],
+                item: 1,
+                payload: "boom".into(),
+            },
+            RunFailure::TimedOut {
+                run_key: keys[2],
+                item: 2,
+                steps: 99,
+                wall_ms: 1.5,
+                partial: None,
+            },
+            RunFailure::SinkDropped { dropped: 3 },
+        ];
+        assert_eq!(report.deterministic_digest(), 18101386833310136102);
+        // A chaos campaign end to end: the panic set and the dropped
+        // record count are pure functions of the chaos seed.
+        let chaos = crate::ChaosSpec {
+            seed: 9,
+            panic_per_mille: 400,
+            sink_fail_per_mille: 200,
+        };
+        let report = Campaign::new(tiny_spec().seeds([1, 2]))
+            .chaos(chaos)
+            .run()
+            .unwrap();
+        let kinds: Vec<_> = report
+            .failures
+            .iter()
+            .map(|f| (f.kind(), f.item()))
+            .collect();
+        assert_eq!(
+            format!("{kinds:?}"),
+            "[(Panicked, Some(1)), (SinkDropped, None)]"
+        );
+        assert_eq!(report.deterministic_digest(), 16730267851040748911);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct DriverConfig {
     pub workers: usize,
     /// Telemetry sink (wrapped in a chaos sink when the policy asks).
     pub sink: Arc<dyn TelemetrySink>,
-    /// Budgets, retry schedule and chaos policy.
+    /// Budgets and chaos policy.
     pub sup: SupervisorSpec,
     /// Resume journal: restored from, then appended to.
     pub journal: Option<Arc<Journal>>,
@@ -77,8 +77,8 @@ macro_rules! driver_builders {
             self
         }
 
-        /// Overrides the supervision policy (builder style): budgets,
-        /// retry schedule, chaos.
+        /// Overrides the supervision policy (builder style): budgets and
+        /// chaos.
         pub fn supervisor(mut self, sup: $crate::SupervisorSpec) -> Self {
             self.driver.sup = sup;
             self
@@ -157,12 +157,11 @@ pub trait WorkUnit: Sync {
         records: &mut dyn Iterator<Item = (usize, Json)>,
         sink: &dyn TelemetrySink,
     ) -> Vec<Option<Self::Output>>;
-    /// One budgeted attempt of item `item`; the inner `Result` carries
+    /// The one budgeted run of item `item`; the inner `Result` carries
     /// campaign-aborting errors.
-    fn attempt(
+    fn run_item(
         &self,
         item: usize,
-        attempt: u32,
         budget: &RunBudget,
         started: Instant,
         sink: &dyn TelemetrySink,
@@ -198,8 +197,8 @@ pub struct Drained<'a, T> {
 impl<T> Drained<'_, T> {
     /// Folds dropped telemetry and journal records into one trailing
     /// `SinkDropped` failure (emitting `sink_dropped`) and returns the
-    /// supervision counters: failures, retries, resumed, dropped records
-    /// and frontier steals.
+    /// supervision counters: failures, resumed, dropped records and
+    /// frontier steals.
     pub fn settle(&mut self) -> FleetCounters {
         let dropped = self.sink.dropped_records() + self.journal.map_or(0, Journal::dropped);
         if dropped > 0 {
@@ -228,7 +227,7 @@ impl<T> Drained<'_, T> {
 /// # Errors
 ///
 /// The unit's journal error when the journal belongs to a different
-/// spec, or the first (in item order) campaign-aborting attempt error.
+/// spec, or the first (in item order) campaign-aborting run error.
 pub fn drive<'a, U: WorkUnit>(
     cfg: &'a DriverConfig,
     unit: &mut U,
@@ -297,7 +296,7 @@ pub fn drive<'a, U: WorkUnit>(
     };
     let pool = run_supervised(
         &pool_cfg,
-        |i, attempt, budget, t| unit.attempt(i, attempt, budget, t, &*sink),
+        |i, budget, t| unit.run_item(i, budget, t, &*sink),
         |i, outcome| {
             let Ok(output) = outcome else { return };
             unit.accepted(i, output);
@@ -334,7 +333,6 @@ pub fn drive<'a, U: WorkUnit>(
         halted: pool.halted,
         wall_s,
         counters: FleetCounters {
-            retries: pool.retries,
             resumed,
             frontier_steals: frontier.as_ref().map_or(0, Frontier::steals),
             ..FleetCounters::default()

@@ -25,17 +25,17 @@
 //! Three more layers make campaigns *survivable* (GECKO's own resilience
 //! discipline, applied to the harness):
 //!
-//! * [`supervisor`] — panic quarantine, step/wall run budgets, bounded
-//!   retry with deterministic backoff, and seeded [`ChaosSpec`] fault
-//!   injection; failures become structured [`RunFailure`]s in the report
-//!   instead of killing workers.
+//! * [`supervisor`] — panic quarantine, step/wall run budgets, and
+//!   seeded [`ChaosSpec`] fault injection; each item runs once, and its
+//!   failure becomes a structured [`RunFailure`] in the report instead of
+//!   killing a worker.
 //! * [`journal`] — an append-only JSON-lines [`Journal`] of completed
 //!   runs, in memory or on a `gecko_store::SegmentedLog`;
 //!   [`Campaign::resume`] skips journaled runs and merges bit-exactly
 //!   against an uninterrupted campaign at any worker count.
 //! * [`driver`] — the one supervised campaign driver. A campaign kind is
-//!   a [`WorkUnit`] (run keys and fingerprint, journal `restore`, one
-//!   budgeted `attempt`, the journal lines of a finished output);
+//!   a [`WorkUnit`] (run keys and fingerprint, journal `restore`, the
+//!   budgeted `run_item`, the journal lines of a finished output);
 //!   [`drive`] owns everything else — journal header and restore, the
 //!   supervised pool, journaling only accepted outcomes, the item-order
 //!   merge, drop accounting. [`Campaign`] and `gecko-check`'s
@@ -85,7 +85,7 @@ pub use spec_io::{
 };
 pub use supervisor::{
     lock_unpoisoned, quarantine, AttemptFail, ChaosSpec, FailureKind, RunBudget, RunFailure,
-    SupervisorSpec, TRANSIENT_PREFIX,
+    SupervisorSpec,
 };
 pub use telemetry::{
     persist_records, Event, FleetCounters, Histogram, MemorySink, NullSink, TelemetrySink,
@@ -157,9 +157,8 @@ pub fn supervision_summary(c: &FleetCounters, failures: &[RunFailure], halted: b
     }
     let _ = writeln!(
         out,
-        "supervision: {} failure(s), {} retried attempt(s), {} resumed, {} dropped record(s){}",
+        "supervision: {} failure(s), {} resumed, {} dropped record(s){}",
         c.failures,
-        c.retries,
         c.resumed,
         c.dropped_records,
         if halted { " [halted]" } else { "" },

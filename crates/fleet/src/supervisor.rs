@@ -1,5 +1,5 @@
-//! The supervision layer: panic quarantine, run budgets, bounded retry
-//! with deterministic backoff, and deterministic chaos injection.
+//! The supervision layer: panic quarantine, run budgets, and
+//! deterministic chaos injection.
 //!
 //! GECKO's thesis is graceful degradation under hostile conditions, and
 //! the campaign engine holds itself to the same discipline: one
@@ -14,20 +14,19 @@
 //!   deadline; partial metrics ride along so a pathological configuration
 //!   is *flagged*, not hung on. Step-budget timeouts are deterministic;
 //!   deadline timeouts reflect real time.
-//! * [`RunFailure::Transient`] — the run signalled a retryable fault
-//!   (panic payload prefixed [`TRANSIENT_PREFIX`], or a cooperative
-//!   [`AttemptFail::Transient`]) and still failed after the bounded,
-//!   splitmix64-jittered retry schedule.
 //! * [`RunFailure::SinkDropped`] — telemetry records were dropped
 //!   (I/O failure or injected chaos); one structured failure summarizes
 //!   the count.
 //!
-//! [`ChaosSpec`] threads seeded fault injection (panics, transient
-//! faults, slow runs, sink write failures) through the same splitmix64
-//! discipline as every other stochastic element of the workspace: the
-//! fault plan for a run depends only on `(chaos seed, run key, attempt)`,
-//! never on scheduling, so supervision is exercised by deterministic,
-//! reproducible tests rather than luck.
+//! Each claimed item runs exactly once. A run is a deterministic
+//! simulation, so one that failed would fail the same way again: nothing
+//! is retried.
+//!
+//! [`ChaosSpec`] threads seeded fault injection (panics, sink write
+//! failures) through the same splitmix64 discipline as every other
+//! stochastic element of the workspace: whether a run panics depends
+//! only on `(chaos seed, run key)`, never on scheduling, so supervision
+//! is exercised by deterministic, reproducible tests rather than luck.
 //!
 //! `run_supervised` is the worker pool under the campaign driver
 //! ([`crate::driver`]): a shared work cursor (or a work-stealing
@@ -46,12 +45,6 @@ use gecko_sim::report::Value;
 use gecko_sim::Metrics;
 
 use crate::telemetry::{Event, TelemetrySink};
-
-/// Panic-payload prefix that marks a failure as *transient* (retryable):
-/// a run may `panic!("{TRANSIENT_PREFIX}lost the flaky resource")` and the
-/// supervisor will re-run it under the bounded backoff schedule instead of
-/// recording a hard panic.
-pub const TRANSIENT_PREFIX: &str = "transient: ";
 
 /// Default per-run wall-clock deadline (5 minutes) when the campaign does
 /// not override it — generous enough that it only fires on genuine hangs.
@@ -79,23 +72,15 @@ pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Chaos injection
 // ---------------------------------------------------------------------------
 
-/// Deterministic fault-injection policy, threaded through splitmix64: the
-/// plan for a run is a pure function of `(seed, run_key, attempt)`.
+/// Deterministic fault-injection policy, threaded through splitmix64:
+/// whether a run panics is a pure function of `(seed, run_key)`.
 /// Probabilities are in per-mille (`0` = never, `1000` = always).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosSpec {
     /// Chaos stream seed (decorrelated from the simulation seeds).
     pub seed: u64,
-    /// Probability (‰) that an attempt panics outright.
+    /// Probability (‰) that a run panics outright.
     pub panic_per_mille: u32,
-    /// Probability (‰) that an attempt fails with a transient
-    /// (retryable) fault.
-    pub transient_per_mille: u32,
-    /// Probability (‰) that an attempt is stalled by [`ChaosSpec::slow_ms`]
-    /// before the run starts (exercises the wall-clock deadline).
-    pub slow_per_mille: u32,
-    /// Stall duration for slow-run injection (ms).
-    pub slow_ms: u64,
     /// Probability (‰) that a telemetry record is dropped on write
     /// (exercises the sink-degradation path).
     pub sink_fail_per_mille: u32,
@@ -107,45 +92,13 @@ impl ChaosSpec {
         ChaosSpec::default()
     }
 
-    /// A chaos policy with the given seed and everything else off.
-    pub fn seeded(seed: u64) -> ChaosSpec {
-        ChaosSpec {
-            seed,
-            ..ChaosSpec::default()
-        }
+    /// Whether chaos panics the run keyed `run_key`. Exposed so tests can
+    /// predict exactly which runs a chaos campaign will fail. The stream
+    /// seed mix is part of every chaos test's expected panic set: keep it.
+    pub fn panics(&self, run_key: u64) -> bool {
+        let mut rng = SplitMix64::new(self.seed ^ run_key ^ GOLDEN_GAMMA);
+        self.panic_per_mille > 0 && rng.next_u64() % 1000 < self.panic_per_mille as u64
     }
-
-    /// Whether every injection probability is zero.
-    pub fn is_off(&self) -> bool {
-        self.panic_per_mille == 0
-            && self.transient_per_mille == 0
-            && self.slow_per_mille == 0
-            && self.sink_fail_per_mille == 0
-    }
-
-    /// The deterministic fault plan for one attempt of one run. Exposed so
-    /// tests can predict exactly which runs a chaos campaign will fail.
-    pub fn plan_for(&self, run_key: u64, attempt: u32) -> ChaosPlan {
-        let mut rng =
-            SplitMix64::new(self.seed ^ run_key ^ (attempt as u64).wrapping_mul(GOLDEN_GAMMA));
-        let mut roll = |per_mille: u32| per_mille > 0 && rng.next_u64() % 1000 < per_mille as u64;
-        ChaosPlan {
-            panic: roll(self.panic_per_mille),
-            transient: roll(self.transient_per_mille),
-            slow: roll(self.slow_per_mille),
-        }
-    }
-}
-
-/// The resolved fault plan for one attempt (see [`ChaosSpec::plan_for`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosPlan {
-    /// Panic before the run starts.
-    pub panic: bool,
-    /// Fail with a transient (retryable) fault.
-    pub transient: bool,
-    /// Stall for [`ChaosSpec::slow_ms`] before the run starts.
-    pub slow: bool,
 }
 
 /// A telemetry sink wrapper that deterministically drops records with
@@ -197,19 +150,19 @@ impl TelemetrySink for ChaosSink {
 // Budgets and the supervision policy
 // ---------------------------------------------------------------------------
 
-/// The resolved per-run budget every attempt executes under.
+/// The resolved budget every run executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunBudget {
     /// Maximum simulation steps one run may take (deterministic bound).
     pub max_steps: u64,
-    /// Maximum wall-clock time one attempt may take.
+    /// Maximum wall-clock time one run may take.
     pub deadline: Duration,
 }
 
-/// Supervision policy for a campaign: budgets, the retry schedule, and
-/// the chaos policy. `None` budget fields are derived from the spec at
-/// run time (see [`SupervisorSpec::resolve_budget`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Supervision policy for a campaign: budgets and the chaos policy.
+/// `None` budget fields are derived from the spec at run time (see
+/// [`SupervisorSpec::resolve_budget`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SupervisorSpec {
     /// Step budget override (`None` = derive from the workload:
     /// `seconds × `[`DERIVED_STEPS_PER_SIM_SECOND`], floored at
@@ -217,25 +170,8 @@ pub struct SupervisorSpec {
     pub max_steps: Option<u64>,
     /// Wall-clock deadline override in ms (`None` = [`DEFAULT_WALL_MS`]).
     pub max_wall_ms: Option<u64>,
-    /// Attempts per run (≥ 1): transient failures re-run up to this bound.
-    pub max_attempts: u32,
-    /// Base backoff between retry attempts (ms); attempt `k` sleeps
-    /// `base·2^(k-1)` plus splitmix64 jitter in `[0, base]`, capped at 1 s.
-    pub backoff_base_ms: u64,
     /// Fault-injection policy.
     pub chaos: ChaosSpec,
-}
-
-impl Default for SupervisorSpec {
-    fn default() -> SupervisorSpec {
-        SupervisorSpec {
-            max_steps: None,
-            max_wall_ms: None,
-            max_attempts: 3,
-            backoff_base_ms: 1,
-            chaos: ChaosSpec::off(),
-        }
-    }
 }
 
 impl SupervisorSpec {
@@ -250,22 +186,6 @@ impl SupervisorSpec {
             deadline: Duration::from_millis(self.max_wall_ms.unwrap_or(DEFAULT_WALL_MS)),
         }
     }
-
-    /// The deterministic backoff before retry attempt `next_attempt`
-    /// (2, 3, ...) of `run_key`: exponential in the attempt with
-    /// splitmix64 jitter, capped at one second.
-    pub fn backoff_for(&self, run_key: u64, next_attempt: u32) -> Duration {
-        let base = self.backoff_base_ms;
-        if base == 0 {
-            return Duration::ZERO;
-        }
-        let mut rng = SplitMix64::new(
-            self.chaos.seed ^ run_key ^ (next_attempt as u64).wrapping_mul(0xB0FF_0FF5),
-        );
-        let exp = base.saturating_mul(1u64 << (next_attempt.saturating_sub(2)).min(10));
-        let jitter = rng.range_u64(0, base + 1);
-        Duration::from_millis(exp.saturating_add(jitter).min(1_000))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,8 +199,6 @@ pub enum FailureKind {
     Panicked,
     /// The run exceeded its step budget or wall-clock deadline.
     TimedOut,
-    /// The run kept failing transiently through every retry attempt.
-    Transient,
     /// Telemetry records were dropped.
     SinkDropped,
 }
@@ -291,7 +209,6 @@ impl FailureKind {
         match self {
             FailureKind::Panicked => "panicked",
             FailureKind::TimedOut => "timed-out",
-            FailureKind::Transient => "transient",
             FailureKind::SinkDropped => "sink-dropped",
         }
     }
@@ -319,23 +236,12 @@ pub enum RunFailure {
         item: usize,
         /// Simulation steps taken before the budget fired.
         steps: u64,
-        /// Wall-clock ms the attempt had consumed.
+        /// Wall-clock ms the run had consumed.
         wall_ms: f64,
         /// Metrics accumulated up to the abort point (step-budget
         /// timeouts carry deterministic partials; deadline timeouts may
         /// not have any). Boxed to keep the failure enum small.
         partial: Option<Box<Metrics>>,
-    },
-    /// The run failed transiently on every one of `attempts` tries.
-    Transient {
-        /// Stable identity of the failed run.
-        run_key: u64,
-        /// Work-item index of the failed run.
-        item: usize,
-        /// The last transient payload.
-        payload: String,
-        /// Attempts consumed (== the configured `max_attempts`).
-        attempts: u32,
     },
     /// `dropped` telemetry/journal records were dropped instead of
     /// panicking the writer.
@@ -351,7 +257,6 @@ impl RunFailure {
         match self {
             RunFailure::Panicked { .. } => FailureKind::Panicked,
             RunFailure::TimedOut { .. } => FailureKind::TimedOut,
-            RunFailure::Transient { .. } => FailureKind::Transient,
             RunFailure::SinkDropped { .. } => FailureKind::SinkDropped,
         }
     }
@@ -359,9 +264,9 @@ impl RunFailure {
     /// The failed run's key (`None` for campaign-scoped failures).
     pub fn run_key(&self) -> Option<u64> {
         match self {
-            RunFailure::Panicked { run_key, .. }
-            | RunFailure::TimedOut { run_key, .. }
-            | RunFailure::Transient { run_key, .. } => Some(*run_key),
+            RunFailure::Panicked { run_key, .. } | RunFailure::TimedOut { run_key, .. } => {
+                Some(*run_key)
+            }
             RunFailure::SinkDropped { .. } => None,
         }
     }
@@ -370,9 +275,7 @@ impl RunFailure {
     /// failures).
     pub fn item(&self) -> Option<usize> {
         match self {
-            RunFailure::Panicked { item, .. }
-            | RunFailure::TimedOut { item, .. }
-            | RunFailure::Transient { item, .. } => Some(*item),
+            RunFailure::Panicked { item, .. } | RunFailure::TimedOut { item, .. } => Some(*item),
             RunFailure::SinkDropped { .. } => None,
         }
     }
@@ -394,23 +297,16 @@ impl RunFailure {
             } => format!(
                 "[item {item}] timed out (run {run_key:#018x}) after {steps} steps / {wall_ms:.1} ms"
             ),
-            RunFailure::Transient {
-                run_key,
-                item,
-                payload,
-                attempts,
-            } => format!(
-                "[item {item}] transient after {attempts} attempts (run {run_key:#018x}): {payload}"
-            ),
             RunFailure::SinkDropped { dropped } => {
                 format!("telemetry degraded: {dropped} record(s) dropped")
             }
         }
     }
 
-    /// Folds the deterministic identity of this failure (kind, run key,
-    /// item, attempts) into an FNV-style digest closure. Partial metrics
-    /// and wall-clock are excluded: deadline timeouts reflect real time.
+    /// Folds the deterministic identity of this failure (kind tag, run
+    /// key, item) into an FNV-style digest closure. Partial metrics and
+    /// wall-clock are excluded: deadline timeouts reflect real time. The
+    /// tags are part of every pinned digest; tag 3 stays unused.
     pub fn digest_into(&self, eat: &mut dyn FnMut(u64)) {
         match self {
             RunFailure::Panicked { run_key, item, .. } => {
@@ -422,17 +318,6 @@ impl RunFailure {
                 eat(2);
                 eat(*run_key);
                 eat(*item as u64);
-            }
-            RunFailure::Transient {
-                run_key,
-                item,
-                attempts,
-                ..
-            } => {
-                eat(3);
-                eat(*run_key);
-                eat(*item as u64);
-                eat(*attempts as u64);
             }
             RunFailure::SinkDropped { dropped } => {
                 eat(4);
@@ -448,7 +333,7 @@ impl std::fmt::Display for RunFailure {
     }
 }
 
-/// A cooperative failure an attempt closure can report without panicking.
+/// A cooperative failure a run closure can report without panicking.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttemptFail {
     /// The run exceeded its budget (the closure checked cooperatively).
@@ -460,11 +345,6 @@ pub enum AttemptFail {
         /// Metrics accumulated up to the abort point, when available.
         /// Boxed so the `Err` variant stays pointer-sized.
         partial: Option<Box<Metrics>>,
-    },
-    /// A retryable fault.
-    Transient {
-        /// What went wrong.
-        payload: String,
     },
 }
 
@@ -516,7 +396,7 @@ pub fn quarantine<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// What the pool recorded for one work item.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ItemOutcome<T> {
-    /// The run completed (possibly after retries).
+    /// The run completed.
     Done(T),
     /// The run failed and was quarantined.
     Failed(RunFailure),
@@ -528,8 +408,6 @@ pub(crate) struct PoolReport<T> {
     /// Per-item outcomes; `None` for items never claimed (skipped by the
     /// caller's resume set, or unclaimed after a halt).
     pub(crate) outcomes: Vec<Option<ItemOutcome<T>>>,
-    /// Retry attempts performed beyond each run's first try.
-    pub(crate) retries: u64,
     /// Whether the pool stopped claiming because `halt_after` was reached
     /// or the kill switch flipped.
     pub(crate) halted: bool,
@@ -538,7 +416,7 @@ pub(crate) struct PoolReport<T> {
 /// Pool configuration for [`run_supervised`].
 pub(crate) struct PoolConfig<'a> {
     pub(crate) workers: usize,
-    /// Stable per-item run keys (chaos/backoff streams key off these).
+    /// Stable per-item run keys (chaos panics key off these).
     pub(crate) run_keys: &'a [u64],
     /// Items restored from a journal: never claimed.
     pub(crate) skip: &'a [bool],
@@ -555,29 +433,24 @@ pub(crate) struct PoolConfig<'a> {
     /// claims through a work-stealing frontier. Either way every index
     /// is claimed exactly once.
     pub(crate) claim: Option<&'a crate::frontier::Frontier>,
-    /// Sink for `run_failed` / `run_retried` events.
+    /// Sink for `run_failed` events.
     pub(crate) sink: &'a Arc<dyn TelemetrySink>,
 }
 
-/// Executes `attempt` for every non-skipped item on a supervised worker
+/// Executes `run` once for every non-skipped item on a supervised worker
 /// pool: panics are quarantined, budgets enforced (cooperatively by the
-/// closure plus a post-hoc deadline check), transient failures retried
-/// with deterministic backoff, and chaos injected per the spec. The
-/// closure receives `(item index, attempt number (1-based), budget,
-/// attempt start)` and returns its result or a cooperative failure.
+/// closure plus a post-hoc deadline check), and chaos injected per the
+/// spec. The closure receives `(item index, budget, run start)` and
+/// returns its result or a cooperative failure.
 /// `accepted` sees every result supervision accepted, on the worker that
 /// produced it, as soon as it is accepted — the journaling hook: a result
 /// that finished past its deadline is a failure and never reaches it.
 ///
 /// Outcomes land in item order; which worker ran what never matters.
-pub(crate) fn run_supervised<T, F, A>(
-    cfg: &PoolConfig<'_>,
-    attempt: F,
-    accepted: A,
-) -> PoolReport<T>
+pub(crate) fn run_supervised<T, F, A>(cfg: &PoolConfig<'_>, run: F, accepted: A) -> PoolReport<T>
 where
     T: Send,
-    F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
+    F: Fn(usize, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
     A: Fn(usize, &T) + Sync,
 {
     let n = cfg.run_keys.len();
@@ -586,7 +459,6 @@ where
     // the halt budget for it happen under one lock, so the budget admits
     // exactly `halt_after` items however many workers race for them.
     let claims = Mutex::new((0usize, cfg.skip.iter().filter(|&&s| s).count() as u64));
-    let retries = AtomicU64::new(0);
     let halted = AtomicBool::new(false);
     let mut slots: Vec<Option<ItemOutcome<T>>> = Vec::new();
     slots.resize_with(n, || None);
@@ -597,9 +469,8 @@ where
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let claims = &claims;
-            let retries = &retries;
             let halted = &halted;
-            let attempt = &attempt;
+            let run = &run;
             let accepted = &accepted;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, ItemOutcome<T>)> = Vec::new();
@@ -634,8 +505,7 @@ where
                         break;
                     }
                     let Some(i) = claim() else { break };
-                    let (outcome, item_retries) = supervise_item(cfg, cfg.run_keys[i], i, attempt);
-                    retries.fetch_add(item_retries, Ordering::Relaxed);
+                    let outcome = supervise_item(cfg, i, run);
                     if let ItemOutcome::Done(value) = &outcome {
                         accepted(i, value);
                     }
@@ -682,125 +552,69 @@ where
 
     PoolReport {
         outcomes: slots,
-        retries: retries.load(Ordering::Relaxed),
         halted: halted.load(Ordering::Relaxed),
     }
 }
 
-/// Supervises every attempt of one item: chaos, quarantine, budget
-/// classification, bounded retry. Returns the final outcome plus the
-/// number of retries consumed.
-fn supervise_item<T, F>(
-    cfg: &PoolConfig<'_>,
-    run_key: u64,
-    item: usize,
-    attempt: &F,
-) -> (ItemOutcome<T>, u64)
+/// Supervises the one run of one item: chaos, quarantine, then the
+/// classification of its result.
+fn supervise_item<T, F>(cfg: &PoolConfig<'_>, item: usize, run: &F) -> ItemOutcome<T>
 where
-    F: Fn(usize, u32, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
+    F: Fn(usize, &RunBudget, Instant) -> Result<T, AttemptFail> + Sync,
 {
-    let sup = cfg.sup;
-    let mut retries = 0u64;
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let plan = sup.chaos.plan_for(run_key, attempts);
-        if plan.slow {
-            std::thread::sleep(Duration::from_millis(sup.chaos.slow_ms));
+    let run_key = cfg.run_keys[item];
+    let chaos_panic = cfg.sup.chaos.panics(run_key);
+    let started = Instant::now();
+    let caught = quarantine(|| {
+        if chaos_panic {
+            panic!("chaos: injected panic (run {run_key:#018x})");
         }
-        let started = Instant::now();
-        let caught = quarantine(|| {
-            if plan.panic {
-                panic!("chaos: injected panic (run {run_key:#018x}, attempt {attempts})");
+        run(item, &cfg.budget, started)
+    });
+    let failure = match caught {
+        Ok(Ok(value)) => {
+            let wall = started.elapsed();
+            if wall <= cfg.budget.deadline {
+                return ItemOutcome::Done(value);
             }
-            if plan.transient {
-                panic!("{TRANSIENT_PREFIX}chaos: injected transient fault (run {run_key:#018x}, attempt {attempts})");
-            }
-            attempt(item, attempts, &cfg.budget, started)
-        });
-        let transient_payload = match caught {
-            Ok(Ok(value)) => {
-                let wall = started.elapsed();
-                if wall > cfg.budget.deadline {
-                    // The run completed, but only by blowing through its
-                    // deadline between two cooperative checks: still a
-                    // pathological configuration worth flagging.
-                    let failure = RunFailure::TimedOut {
-                        run_key,
-                        item,
-                        steps: 0,
-                        wall_ms: wall.as_secs_f64() * 1e3,
-                        partial: None,
-                    };
-                    emit_run_failed(cfg, &failure, attempts);
-                    return (ItemOutcome::Failed(failure), retries);
-                }
-                return (ItemOutcome::Done(value), retries);
-            }
-            Ok(Err(AttemptFail::TimedOut {
-                steps,
-                wall_ms,
-                partial,
-            })) => {
-                let failure = RunFailure::TimedOut {
-                    run_key,
-                    item,
-                    steps,
-                    wall_ms,
-                    partial,
-                };
-                emit_run_failed(cfg, &failure, attempts);
-                return (ItemOutcome::Failed(failure), retries);
-            }
-            Ok(Err(AttemptFail::Transient { payload })) => payload,
-            Err(payload) => match payload.strip_prefix(TRANSIENT_PREFIX) {
-                Some(rest) => rest.to_string(),
-                None => {
-                    let failure = RunFailure::Panicked {
-                        run_key,
-                        item,
-                        payload,
-                    };
-                    emit_run_failed(cfg, &failure, attempts);
-                    return (ItemOutcome::Failed(failure), retries);
-                }
-            },
-        };
-        if attempts >= sup.max_attempts.max(1) {
-            let failure = RunFailure::Transient {
+            // The run completed, but only by blowing through its deadline
+            // between two cooperative checks: still a pathological
+            // configuration worth flagging.
+            RunFailure::TimedOut {
                 run_key,
                 item,
-                payload: transient_payload,
-                attempts,
-            };
-            emit_run_failed(cfg, &failure, attempts);
-            return (ItemOutcome::Failed(failure), retries);
+                steps: 0,
+                wall_ms: wall.as_secs_f64() * 1e3,
+                partial: None,
+            }
         }
-        retries += 1;
-        cfg.sink.emit(Event::new(
-            "run_retried",
-            vec![
-                ("item", Value::U64(item as u64)),
-                ("run_key", Value::U64(run_key)),
-                ("attempt", Value::U64(attempts as u64)),
-                ("payload", Value::Str(transient_payload)),
-            ],
-        ));
-        std::thread::sleep(sup.backoff_for(run_key, attempts + 1));
-    }
-}
-
-fn emit_run_failed(cfg: &PoolConfig<'_>, failure: &RunFailure, attempts: u32) {
+        Ok(Err(AttemptFail::TimedOut {
+            steps,
+            wall_ms,
+            partial,
+        })) => RunFailure::TimedOut {
+            run_key,
+            item,
+            steps,
+            wall_ms,
+            partial,
+        },
+        Err(payload) => RunFailure::Panicked {
+            run_key,
+            item,
+            payload,
+        },
+    };
     cfg.sink.emit(Event::new(
         "run_failed",
         vec![
-            ("item", Value::U64(failure.item().unwrap_or(0) as u64)),
-            ("run_key", Value::U64(failure.run_key().unwrap_or(0))),
+            ("item", Value::U64(item as u64)),
+            ("run_key", Value::U64(run_key)),
             ("kind", Value::Str(failure.kind().name().to_string())),
-            ("attempt", Value::U64(attempts as u64)),
             ("detail", Value::Str(failure.describe())),
         ],
     ));
+    ItemOutcome::Failed(failure)
 }
 
 #[cfg(test)]
@@ -832,29 +646,24 @@ mod tests {
             quarantine(|| -> u32 { panic!("boom") }),
             Err("boom".to_string())
         );
-        let msg = format!("{TRANSIENT_PREFIX}flaky");
-        assert_eq!(quarantine(|| -> u32 { panic!("{msg}") }), Err(msg));
     }
 
     #[test]
-    fn chaos_plans_are_deterministic_and_seed_sensitive() {
+    fn chaos_panics_are_deterministic_and_seed_sensitive() {
         let chaos = ChaosSpec {
             seed: 9,
             panic_per_mille: 500,
-            transient_per_mille: 500,
-            slow_per_mille: 500,
             ..ChaosSpec::default()
         };
-        for key in [1u64, 2, 0xdead_beef] {
-            assert_eq!(chaos.plan_for(key, 1), chaos.plan_for(key, 1));
-            assert_eq!(chaos.plan_for(key, 2), chaos.plan_for(key, 2));
-        }
-        let plans_a: Vec<ChaosPlan> = (0..64).map(|k| chaos.plan_for(k, 1)).collect();
-        let other = ChaosSpec { seed: 10, ..chaos };
-        let plans_b: Vec<ChaosPlan> = (0..64).map(|k| other.plan_for(k, 1)).collect();
-        assert_ne!(plans_a, plans_b, "seed must matter");
-        assert!(ChaosSpec::off().is_off());
-        assert!(!chaos.is_off());
+        let panics = |chaos: ChaosSpec| (0..64).map(|k| chaos.panics(k)).collect::<Vec<_>>();
+        assert_eq!(panics(chaos), panics(chaos));
+        assert!(panics(chaos).contains(&true) && panics(chaos).contains(&false));
+        assert_ne!(
+            panics(chaos),
+            panics(ChaosSpec { seed: 10, ..chaos }),
+            "seed must matter"
+        );
+        assert!(!panics(ChaosSpec::off()).contains(&true));
     }
 
     #[test]
@@ -876,7 +685,7 @@ mod tests {
         };
         let report = run_supervised(
             &cfg,
-            |i, _, _, _| {
+            |i, _, _| {
                 if i % 5 == 0 {
                     panic!("run {i} exploded");
                 }
@@ -902,104 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_failures_retry_with_bounded_attempts() {
-        let keys = [77u64];
-        let skip = [false];
-        let sup = SupervisorSpec {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        let sink: Arc<dyn TelemetrySink> = Arc::new(MemorySink::new());
-        let cfg = PoolConfig {
-            workers: 1,
-            run_keys: &keys,
-            skip: &skip,
-            sup: &sup,
-            budget: sup.resolve_budget(0.01),
-            halt_after: None,
-            stop: None,
-            claim: None,
-            sink: &sink,
-        };
-        // Succeeds on the third attempt.
-        let report = run_supervised(
-            &cfg,
-            |_, attempt, _, _| {
-                if attempt < 3 {
-                    Err(AttemptFail::Transient {
-                        payload: format!("flaky #{attempt}"),
-                    })
-                } else {
-                    Ok(attempt)
-                }
-            },
-            |_, _| {},
-        );
-        assert_eq!(report.retries, 2);
-        assert!(matches!(report.outcomes[0], Some(ItemOutcome::Done(3))));
-
-        // Never succeeds: classified Transient with the attempt count.
-        let report = run_supervised(
-            &cfg,
-            |_, attempt, _, _| -> Result<u32, AttemptFail> {
-                Err(AttemptFail::Transient {
-                    payload: format!("flaky #{attempt}"),
-                })
-            },
-            |_, _| panic!("nothing succeeds"),
-        );
-        assert_eq!(report.retries, 2);
-        match report.outcomes[0].as_ref().unwrap() {
-            ItemOutcome::Failed(RunFailure::Transient {
-                attempts, payload, ..
-            }) => {
-                assert_eq!(*attempts, 3);
-                assert_eq!(payload, "flaky #3");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transient_panics_are_retried_too() {
-        let keys = [5u64];
-        let skip = [false];
-        let sup = SupervisorSpec {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        let sink = null_sink();
-        let cfg = PoolConfig {
-            workers: 1,
-            run_keys: &keys,
-            skip: &skip,
-            sup: &sup,
-            budget: sup.resolve_budget(0.01),
-            halt_after: None,
-            stop: None,
-            claim: None,
-            sink: &sink,
-        };
-        let report = run_supervised(
-            &cfg,
-            |_, attempt, _, _| {
-                if attempt == 1 {
-                    panic!("{TRANSIENT_PREFIX}lost the resource");
-                }
-                Ok("recovered")
-            },
-            |_, _| {},
-        );
-        assert_eq!(report.retries, 1);
-        assert!(matches!(
-            report.outcomes[0],
-            Some(ItemOutcome::Done("recovered"))
-        ));
-    }
-
-    #[test]
     fn halt_after_stops_claiming() {
         let keys: Vec<u64> = (0..32).collect();
         let skip = vec![false; 32];
@@ -1016,7 +727,7 @@ mod tests {
             claim: None,
             sink: &sink,
         };
-        let report = run_supervised(&cfg, |i, _, _, _| Ok(i), |_, _| {});
+        let report = run_supervised(&cfg, |i, _, _| Ok(i), |_, _| {});
         assert!(report.halted);
         let done = report.outcomes.iter().flatten().count();
         assert_eq!(done, 10, "exactly halt_after runs were accounted");
@@ -1047,7 +758,7 @@ mod tests {
                 };
                 let report = run_supervised(
                     &cfg,
-                    |i, _, _, _| {
+                    |i, _, _| {
                         std::thread::sleep(Duration::from_millis(20));
                         Ok(i)
                     },
@@ -1081,24 +792,6 @@ mod tests {
         let b = sup.resolve_budget(10.0);
         assert_eq!(b.max_steps, 123);
         assert_eq!(b.deadline, Duration::from_millis(456));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        let sup = SupervisorSpec {
-            backoff_base_ms: 4,
-            ..SupervisorSpec::default()
-        };
-        for attempt in 2..6 {
-            let a = sup.backoff_for(99, attempt);
-            assert_eq!(a, sup.backoff_for(99, attempt), "deterministic");
-            assert!(a <= Duration::from_millis(1_000), "capped");
-        }
-        let quiet = SupervisorSpec {
-            backoff_base_ms: 0,
-            ..SupervisorSpec::default()
-        };
-        assert_eq!(quiet.backoff_for(1, 2), Duration::ZERO);
     }
 
     #[test]

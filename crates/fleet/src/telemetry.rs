@@ -155,7 +155,8 @@ pub struct FleetCounters {
     /// Runs that ended in a quarantined failure (any taxonomy bucket
     /// except `SinkDropped`, which is record-scoped).
     pub failures: u64,
-    /// Retry attempts performed beyond each run's first try.
+    /// Always 0: each run executes exactly once. Kept so reports and
+    /// stored counters keep their `retries` field.
     pub retries: u64,
     /// Runs restored from a resume journal instead of re-executed.
     pub resumed: u64,

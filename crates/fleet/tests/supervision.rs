@@ -1,8 +1,7 @@
 //! The supervised-campaign guarantees: chaos-injected panics quarantine
 //! without losing sibling results, budgets flag runs deterministically,
-//! transient faults retry to convergence, and a campaign killed at any
-//! completed-run boundary resumes from its journal bit-exactly — at any
-//! worker count.
+//! and a campaign killed at any completed-run boundary resumes from its
+//! journal bit-exactly — at any worker count.
 
 use std::sync::Arc;
 
@@ -20,54 +19,26 @@ fn small_spec() -> CampaignSpec {
         .workload(Workload::RunFor { seconds: 0.002 })
 }
 
-/// What the supervisor must do with one run, derived purely from the
-/// chaos plan stream — the test's independent model of `supervise_item`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Predicted {
-    /// Succeeds on the given 1-based attempt.
-    Success { attempt: u32 },
-    /// Panics (hard) on the given attempt.
-    Panic { attempt: u32 },
-    /// Fails transiently on every allowed attempt.
-    Transient,
-}
-
-fn predict(sup: &SupervisorSpec, run_key: u64) -> Predicted {
-    for attempt in 1..=sup.max_attempts {
-        let plan = sup.chaos.plan_for(run_key, attempt);
-        if plan.panic {
-            return Predicted::Panic { attempt };
-        }
-        if !plan.transient {
-            return Predicted::Success { attempt };
-        }
-    }
-    Predicted::Transient
-}
-
-fn predictions(spec: &CampaignSpec, sup: &SupervisorSpec) -> Vec<Predicted> {
+/// The items chaos panics under `sup`, derived purely from the chaos
+/// stream — the test's independent model of `supervise_item`.
+fn predicted_panics(spec: &CampaignSpec, sup: &SupervisorSpec) -> Vec<usize> {
     spec.expand()
         .iter()
-        .map(|item| predict(sup, spec.run_key(item)))
+        .filter(|item| sup.chaos.panics(spec.run_key(item)))
+        .map(|item| item.index)
         .collect()
 }
 
-/// Picks a chaos seed whose plan stream actually exercises the scenario
-/// (some failures AND some successes) — self-validating, no magic seeds.
-fn seed_with_mixed_outcomes(sup_template: SupervisorSpec, want_failures: bool) -> SupervisorSpec {
+/// Picks a chaos seed that panics some runs but not all — self-validating,
+/// no magic seeds.
+fn seed_with_mixed_outcomes(sup_template: SupervisorSpec) -> SupervisorSpec {
     let spec = small_spec();
+    let items = spec.expand().len();
     for seed in 0..256 {
         let mut sup = sup_template;
         sup.chaos.seed = seed;
-        let p = predictions(&spec, &sup);
-        let failures = p
-            .iter()
-            .filter(|p| !matches!(p, Predicted::Success { .. }))
-            .count();
-        let retried = p
-            .iter()
-            .any(|p| !matches!(p, Predicted::Success { attempt: 1 }));
-        if failures > 0 && failures < p.len() && (!want_failures || retried) {
+        let panics = predicted_panics(&spec, &sup).len();
+        if panics > 0 && panics < items {
             return sup;
         }
     }
@@ -76,17 +47,14 @@ fn seed_with_mixed_outcomes(sup_template: SupervisorSpec, want_failures: bool) -
 
 #[test]
 fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
-    let sup = seed_with_mixed_outcomes(
-        SupervisorSpec {
-            chaos: ChaosSpec {
-                panic_per_mille: 250,
-                ..ChaosSpec::off()
-            },
-            ..SupervisorSpec::default()
+    let sup = seed_with_mixed_outcomes(SupervisorSpec {
+        chaos: ChaosSpec {
+            panic_per_mille: 250,
+            ..ChaosSpec::off()
         },
-        false,
-    );
-    let predicted = predictions(&small_spec(), &sup);
+        ..SupervisorSpec::default()
+    });
+    let panicked = predicted_panics(&small_spec(), &sup);
     let clean = Campaign::new(small_spec()).workers(3).run().unwrap();
     let chaotic = Campaign::new(small_spec())
         .supervisor(sup)
@@ -95,12 +63,6 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         .unwrap();
 
     // Every predicted panic appears exactly once in `failures`...
-    let panicked: Vec<usize> = predicted
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p, Predicted::Panic { .. }))
-        .map(|(i, _)| i)
-        .collect();
     assert!(!panicked.is_empty(), "scenario must inject at least once");
     assert_eq!(chaotic.failures.len(), panicked.len());
     for (failure, &item) in chaotic.failures.iter().zip(&panicked) {
@@ -134,7 +96,7 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         assert_eq!(r.compile_stats, reference.compile_stats);
     }
 
-    // Chaos is keyed on (seed, run key, attempt), so the whole report —
+    // Chaos is keyed on (seed, run key), so the whole report —
     // including the failure list — is worker-count-invariant.
     let solo = Campaign::new(small_spec())
         .supervisor(sup)
@@ -143,65 +105,6 @@ fn injected_panics_quarantine_once_and_siblings_stay_bit_exact() {
         .unwrap();
     assert_eq!(solo.failures, chaotic.failures);
     assert_eq!(solo.deterministic_digest(), chaotic.deterministic_digest());
-}
-
-#[test]
-fn transient_faults_retry_with_bounded_attempts() {
-    let sup = seed_with_mixed_outcomes(
-        SupervisorSpec {
-            max_attempts: 4,
-            backoff_base_ms: 0, // keep the test fast; backoff is unit-tested
-            chaos: ChaosSpec {
-                transient_per_mille: 400,
-                ..ChaosSpec::off()
-            },
-            ..SupervisorSpec::default()
-        },
-        true,
-    );
-    let predicted = predictions(&small_spec(), &sup);
-    let report = Campaign::new(small_spec())
-        .supervisor(sup)
-        .workers(4)
-        .run()
-        .unwrap();
-
-    let expected_retries: u64 = predicted
-        .iter()
-        .map(|p| match p {
-            Predicted::Success { attempt } | Predicted::Panic { attempt } => (attempt - 1) as u64,
-            Predicted::Transient => (sup.max_attempts - 1) as u64,
-        })
-        .sum();
-    let exhausted: Vec<usize> = predicted
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| matches!(p, Predicted::Transient))
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(report.counters.retries, expected_retries);
-    assert!(expected_retries > 0, "scenario must retry at least once");
-    assert_eq!(report.failures.len(), exhausted.len());
-    for (failure, &item) in report.failures.iter().zip(&exhausted) {
-        match failure {
-            RunFailure::Transient {
-                item: failed_item,
-                attempts,
-                ..
-            } => {
-                assert_eq!(*failed_item, item);
-                assert_eq!(*attempts, sup.max_attempts);
-            }
-            other => panic!("expected an exhausted transient, got {other:?}"),
-        }
-    }
-
-    // Runs that eventually succeeded are bit-exact: retries re-run the
-    // same deterministic simulation.
-    let clean = Campaign::new(small_spec()).workers(2).run().unwrap();
-    for r in &report.results {
-        assert_eq!(r.metrics, clean.results[r.item.index].metrics);
-    }
 }
 
 #[test]
@@ -400,11 +303,10 @@ fn runs_rejected_by_the_deadline_are_not_journaled() {
             .seeds([1, 2])
             .workload(Workload::RunFor { seconds: 0.0 })
     };
-    // A zero deadline: every attempt finishes, then fails the post-hoc
-    // deadline check; one attempt means nothing retries.
+    // A zero deadline: every run finishes, then fails the post-hoc
+    // deadline check.
     let sup = SupervisorSpec {
         max_wall_ms: Some(0),
-        max_attempts: 1,
         ..SupervisorSpec::default()
     };
     let journal = Arc::new(Journal::memory());

@@ -28,14 +28,16 @@
 //! journal root.
 //!
 //! The restart scan derives state from those files alone: both result
-//! documents whole (`result.json` carrying its digest) means Done,
-//! `state.json` means Cancelled/Failed, anything else (a result torn by a
-//! kill mid-write included) means the job was interrupted (daemon killed,
-//! graceful shutdown, or `halt_after`) and goes back on the queue —
+//! documents whole (`result.json` carrying its digest) means Done, a
+//! whole `state.json` means Cancelled/Failed, anything else (a result or
+//! state document torn by a kill mid-write included) means the job was
+//! interrupted (daemon killed, graceful shutdown, or `halt_after`) and
+//! goes back on the queue —
 //! [`Campaign::resume`] skips the journaled runs and the merged report is
 //! bit-exact against an uninterrupted run.
 
 use std::collections::VecDeque;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,6 +49,7 @@ use gecko_fleet::spec_io;
 use gecko_fleet::supervisor::lock_unpoisoned;
 use gecko_fleet::telemetry::{Event, TelemetrySink};
 use gecko_fleet::{Campaign, Journal};
+use gecko_isa::Fnv1a;
 use gecko_sim::report::Value;
 use gecko_store::{
     LogCompactor, LogConfig, PruneInput, PruneOutput, Pruner, Segment, SegmentedLog, StoreError,
@@ -804,9 +807,9 @@ impl Queue {
         if p.state == JobState::Queued {
             p.state = JobState::Cancelled;
             drop(p);
-            write_state_file(&job.dir, "cancelled", None);
+            let error = write_state_file(&job.dir, "cancelled", None);
             job.sink.close();
-            job.progress_cond.notify_all();
+            job.set_state(JobState::Cancelled, error, None);
         }
     }
 
@@ -902,21 +905,23 @@ fn restore_job(inner: &QueueInner, id: u64, dir: &Path) -> Option<Arc<Job>> {
     let digest = parsed("result.det.json")
         .and(parsed("result.json"))
         .and_then(|doc| doc.get("digest")?.as_u64());
-    let (state, error, digest) = if let Some(digest) = digest {
-        (JobState::Done, None, Some(digest))
-    } else if let Ok(text) = std::fs::read_to_string(dir.join("state.json")) {
-        let doc = Json::parse(&text).ok()?;
+    let marker = || {
+        let doc = parsed("state.json")?;
         let state = match doc.get("state")?.as_str()? {
             "cancelled" => JobState::Cancelled,
             "failed" => JobState::Failed,
             _ => return None,
         };
         let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
-        (state, error, None)
+        Some((state, error, None))
+    };
+    let (state, error, digest) = if let Some(digest) = digest {
+        (JobState::Done, None, Some(digest))
     } else {
-        // No terminal marker: the previous session was interrupted (or
-        // never started the job). Re-queue; resume skips journaled runs.
-        (JobState::Queued, None, None)
+        // No whole terminal marker: the previous session was interrupted
+        // (or never started the job, or was killed writing the marker).
+        // Re-queue; resume skips journaled runs.
+        marker().unwrap_or((JobState::Queued, None, None))
     };
 
     let sink = Arc::new(JobSink::new(inner.cfg.event_buffer, &dir.join("telemetry")));
@@ -963,15 +968,36 @@ fn validate_spec(kind: JobKind, spec: &Json) -> Result<(String, u64), String> {
     }
 }
 
-fn write_state_file(dir: &Path, state: &str, error: Option<&str>) {
+/// Writes the terminal `state.json` marker through tmp + `sync_all` +
+/// rename, so a kill mid-write leaves the old file or the new one, never
+/// a torn one. Returns the error text the job carries: `error`, with a
+/// failed write appended rather than dropped.
+fn write_state_file(dir: &Path, state: &str, error: Option<String>) -> Option<String> {
     let doc = Json::Obj(vec![
         ("state".into(), Json::Str(state.to_string())),
-        (
-            "error".into(),
-            error.map_or(Json::Null, |e| Json::Str(e.to_string())),
-        ),
+        ("error".into(), error.clone().map_or(Json::Null, Json::Str)),
     ]);
-    let _ = std::fs::write(dir.join("state.json"), doc.encode());
+    let tmp = dir.join("state.json.tmp");
+    let write = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            file.write_all(doc.encode().as_bytes())?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, dir.join("state.json")));
+    match write {
+        Ok(()) => {
+            // Best-effort: some platforms refuse to sync a directory.
+            let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
+            error
+        }
+        Err(e) => {
+            let note = format!("persisting state.json: {e}");
+            Some(match error {
+                Some(msg) => format!("{msg}; {note}"),
+                None => note,
+            })
+        }
+    }
 }
 
 /// GCs finished `job-<id>/` directories under the retention policy.
@@ -1138,11 +1164,7 @@ fn worker_loop(inner: &Arc<QueueInner>) {
 /// incremental check job shares with every other submission of the same
 /// spec.
 fn memo_key(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    Fnv1a::new().bytes(text.as_bytes()).finish()
 }
 
 /// Moves a flat `job-<id>/journal.jsonl` written by an older daemon to
@@ -1170,9 +1192,8 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
     let journal = match journal {
         Ok(j) => Arc::new(j),
         Err(e) => {
-            let msg = format!("opening journal: {e}");
-            write_state_file(&job.dir, "failed", Some(&msg));
-            job.set_state(JobState::Failed, Some(msg), None);
+            let msg = write_state_file(&job.dir, "failed", Some(format!("opening journal: {e}")));
+            job.set_state(JobState::Failed, msg, None);
             job.sink.close();
             return;
         }
@@ -1278,8 +1299,8 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
                 Ok(()) => job.set_state(JobState::Done, None, Some(digest)),
                 Err(e) => {
                     let msg = format!("persisting result: {e}");
-                    write_state_file(&job.dir, "failed", Some(&msg));
-                    job.set_state(JobState::Failed, Some(msg), None);
+                    let msg = write_state_file(&job.dir, "failed", Some(msg));
+                    job.set_state(JobState::Failed, msg, None);
                 }
             }
         }
@@ -1289,15 +1310,15 @@ fn execute(cfg: &ServeConfig, job: &Arc<Job>) {
             // far; no terminal file means the next boot resumes it —
             // except an explicit cancel, which is terminal.
             if job.cancel_requested.load(Ordering::SeqCst) {
-                write_state_file(&job.dir, "cancelled", None);
-                job.set_state(JobState::Cancelled, None, None);
+                let msg = write_state_file(&job.dir, "cancelled", None);
+                job.set_state(JobState::Cancelled, msg, None);
             } else {
                 job.set_state(JobState::Interrupted, None, None);
             }
         }
         Err(msg) => {
-            write_state_file(&job.dir, "failed", Some(&msg));
-            job.set_state(JobState::Failed, Some(msg), None);
+            let msg = write_state_file(&job.dir, "failed", Some(msg));
+            job.set_state(JobState::Failed, msg, None);
         }
     }
 }
@@ -1450,6 +1471,71 @@ mod tests {
         std::fs::write(dir.join("result.json"), "{}").unwrap();
         assert_eq!(restored(&dir), (JobState::Queued, None));
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_torn_state_document_requeues_the_job() {
+        let cfg = test_config("torn-state");
+        let root = cfg.journal_root.clone();
+        let queue = Queue::start(cfg.clone()).unwrap();
+        let job = queue
+            .submit(JobKind::Sweep, submission(tiny_sweep_spec(), None))
+            .unwrap();
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let (id, dir) = (job.id, job.dir.clone());
+        let digest = job.status_value().get("digest").and_then(Json::as_u64);
+        queue.shutdown();
+        drop(queue);
+
+        // What a kill while writing a terminal marker leaves: a complete
+        // journal, no result documents, a torn state.json.
+        std::fs::remove_file(dir.join("result.json")).unwrap();
+        std::fs::remove_file(dir.join("result.det.json")).unwrap();
+        let path = dir.join("state.json");
+        let whole = br#"{"state":"cancelled","error":null}"#;
+        let inner = QueueInner::new(cfg.clone());
+        for cut in 0..whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            let job = restore_job(&inner, id, &dir)
+                .unwrap_or_else(|| panic!("state.json cut at byte {cut} lost the job"));
+            assert_eq!(job.state(), JobState::Queued, "cut at byte {cut}");
+        }
+        std::fs::write(&path, whole).unwrap();
+        let job = restore_job(&inner, id, &dir).expect("job.json is intact");
+        assert_eq!(job.state(), JobState::Cancelled);
+        drop((job, inner));
+
+        // After a restart the job is listed and its journal resumes it to
+        // the digest it had.
+        std::fs::write(&path, &whole[..whole.len() / 2]).unwrap();
+        let queue = Queue::start(cfg).unwrap();
+        assert!(queue.jobs().iter().any(|j| j.id == id), "job listed");
+        let job = queue.job(id).expect("job restored");
+        assert_eq!(job.wait_stopped(Duration::from_secs(120)), JobState::Done);
+        let status = job.status_value();
+        assert_eq!(status.get("digest").and_then(Json::as_u64), digest);
+        assert_eq!(status.get("items_resumed").and_then(Json::as_u64), Some(2));
+        queue.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The memo key names on-disk memo directories that every daemon
+    /// session shares: the key of a canonical check spec must not move.
+    #[test]
+    fn memo_keys_are_pinned() {
+        let canonical = concat!(
+            r#"{"name":"memo-pin","apps":["blink"],"schemes":["gecko"],"explore":{"depth":1,"#,
+            r#""power_failure_windows":true,"emi_windows":true,"fault_windows":false,"#,
+            r#""refail_horizon":24,"memoize":true,"max_windows":null,"seed":7,"#,
+            r#""fast_forward":true},"compile":{"wcet_budget_cycles":4000,"prune":true,"#,
+            r#""max_slice_insts":12},"chunk_windows":512,"shrink":true,"shrink_budget":200}"#
+        );
+        let spec =
+            Json::parse(r#"{"name":"memo-pin","apps":["blink"],"schemes":["gecko"]}"#).unwrap();
+        let spec = wire::check_spec_from_value(&spec, "").unwrap();
+        let encoded = wire::check_spec_value(&spec).encode();
+        assert_eq!(encoded, canonical);
+        assert_eq!(memo_key(canonical), 9941860857226995321);
     }
 
     #[test]

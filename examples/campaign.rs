@@ -8,10 +8,10 @@
 //!
 //! Four flags exercise the supervision layer:
 //!
-//! * `--chaos` — rerun the grid with seeded fault injection (panics +
-//!   transients). Injected panics are quarantined into structured
-//!   failures, retries are bounded, and the failure set is bit-identical
-//!   on 1 worker and on the pool.
+//! * `--chaos` — rerun the grid with seeded panic injection, keyed on
+//!   (seed, run key). Injected panics are quarantined into structured
+//!   failures, and the failure set is bit-identical on 1 worker and on
+//!   the pool.
 //! * `--resume` — journal the campaign, kill it partway with the
 //!   deterministic halt switch, then resume from the journal and show the
 //!   merged report is bit-exact against the uninterrupted run.
@@ -55,10 +55,9 @@ fn chaos_demo(workers: usize) {
     let chaos = ChaosSpec {
         seed: 0xC4A05,
         panic_per_mille: 150,
-        transient_per_mille: 200,
         ..ChaosSpec::off()
     };
-    println!("\n--chaos: injecting seeded panics (15%) and transients (20%)...");
+    println!("\n--chaos: injecting seeded panics (15%)...");
     let solo = Campaign::new(spec())
         .workers(1)
         .chaos(chaos)
@@ -70,15 +69,15 @@ fn chaos_demo(workers: usize) {
         .run()
         .expect("campaign");
     println!(
-        "quarantined {} failure(s), {} retried attempt(s); workers kept draining the queue",
-        fleet.counters.failures, fleet.counters.retries
+        "quarantined {} failure(s); workers kept draining the queue",
+        fleet.counters.failures
     );
     for f in &fleet.failures {
         println!("  {} {}", f.kind().name(), f.describe());
     }
     assert_eq!(
         solo.failures, fleet.failures,
-        "chaos is keyed on (seed, run key, attempt), not on scheduling"
+        "chaos is keyed on (seed, run key), not on scheduling"
     );
     assert_eq!(solo.deterministic_digest(), fleet.deterministic_digest());
     println!("failure sets and digests agree on 1 worker and {workers} workers");

@@ -33,7 +33,7 @@ GECKO_QUICK=1 cargo test --offline --workspace -q
 echo "==> checker smoke (exhaustive model check, capped windows)"
 GECKO_QUICK=1 cargo run --offline --release --example check
 
-echo "==> chaos smoke (supervised campaign: quarantine, retry, kill + resume)"
+echo "==> chaos smoke (supervised campaign: quarantine, kill + resume)"
 cargo test --offline --release -q -p gecko-fleet --test supervision
 cargo test --offline --release -q -p gecko-check --test supervision
 cargo run --offline --release --example campaign -- --chaos --resume --drain --prune
